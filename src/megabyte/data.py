@@ -34,13 +34,6 @@ class Window:
         return int(self.mask.sum())
 
 
-@dataclass
-class Batch:
-    inputs: np.ndarray          # (B, T)
-    mask: np.ndarray            # (B, T)
-    provenance: list[tuple[str, int]]   # (doc_id, offset) per row
-
-
 def load_corpus(path) -> list[Document]:
     """Read a file, or every regular file in a directory (lexicographic
     order), as raw-byte documents. No decoding: byte 0xE2 stays 0xE2."""
@@ -82,18 +75,6 @@ def make_windows(docs: list[Document], t: int, stride: int | None = None) -> lis
             if offset + t >= len(raw):
                 break
     return windows
-
-
-def to_batches(windows: list[Window], batch_size: int) -> list[Batch]:
-    batches = []
-    for i in range(0, len(windows), batch_size):
-        group = windows[i:i + batch_size]
-        batches.append(Batch(
-            inputs=np.stack([w.bytes for w in group]),
-            mask=np.stack([w.mask for w in group]),
-            provenance=[(w.doc_id, w.offset) for w in group],
-        ))
-    return batches
 
 
 @dataclass

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Document, Window, make_windows
-from .model import MegabyteDecoder, _merge_heads, _split_heads
+from .data import Document, make_windows
+from .model import CONV_CONTEXT, KVCache, MegabyteDecoder
 from .tensor import Tensor
 
 LN2 = math.log(2.0)
@@ -115,17 +115,11 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
     if sliding and t % 2 != 0:
         raise ValueError("sliding evaluation requires an even context length")
 
-    if sliding:
-        windows, keep_from = [], []
-        for doc in docs:
-            n = len(doc.data)
-            offsets = [0] + [o for o in range(t // 2, n, t // 2) if o + t // 2 < n]
-            for o in offsets:
-                windows.append(_doc_window(doc, o, t))
-                keep_from.append(0 if o == 0 else t // 2)
-    else:
-        windows = make_windows(docs, t, stride=t)
-        keep_from = [0] * len(windows)
+    # Sliding windows overlap by half; every window after a document's
+    # first scores only its later half, which no earlier window scored.
+    overlap = t // 2 if sliding else 0
+    windows = make_windows(docs, t, stride=t - overlap)
+    keep_from = [overlap if w.offset else 0 for w in windows]
 
     bits_sum = 0.0
     count = 0
@@ -158,16 +152,6 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
                       cost_multiplier=MODE_COST[mode])
 
 
-def _doc_window(doc: Document, offset: int, t: int) -> Window:
-    raw = np.frombuffer(doc.data, dtype=np.uint8).astype(np.int64)
-    chunk = raw[offset:offset + t]
-    row = np.zeros(t, dtype=np.int64)
-    row[:len(chunk)] = chunk
-    mask = np.zeros(t, dtype=bool)
-    mask[:len(chunk)] = True
-    return Window(doc.id, offset, row, mask)
-
-
 def bpb_to_word_ppl(bpb: float, total_bytes: int, total_words: int) -> float:
     """Word-level perplexity 2^(bpb * bytes / words)."""
     if total_bytes <= 0:
@@ -185,155 +169,68 @@ def count_words(data: bytes) -> int:
 # -- incremental generation -------------------------------------------------
 
 
-class _LayerKV:
-    """Grows key/value rows (pre-rotary, head-split) one position at a time."""
-
-    def __init__(self):
-        self.k: np.ndarray | None = None
-        self.v: np.ndarray | None = None
-
-    def append(self, k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.k is None:
-            self.k, self.v = k_new, v_new
-        else:
-            self.k = np.concatenate([self.k, k_new], axis=-2)
-            self.v = np.concatenate([self.v, v_new], axis=-2)
-        return self.k, self.v
-
-    @property
-    def length(self) -> int:
-        return 0 if self.k is None else self.k.shape[-2]
-
-
 class _Decoder:
-    """Patch-cached incremental state over one generation stream."""
+    """Incremental state of one generation stream: a K/V cache per layer in
+    use, the next position to run, the current patch's global conditioning
+    and the modeled serial steps. The layer math is the model's own."""
 
-    def __init__(self, model: MegabyteDecoder):
+    def __init__(self, model: MegabyteDecoder, prompt: bytes):
         self.model = model
-        self.cfg = model.config
-        self.p = model.params
-        cfg = self.cfg
-        self.l_global = cfg.global_layers if cfg.global_active else 0
-        self.l_local = cfg.local_layers if cfg.local_active else 0
-        self.ids: list[int] = []
-        self.patches_done = 0     # global positions already computed
-        self.slices: np.ndarray | None = None   # (P, D_L) conditioning for current patch
-        self.global_kv = [_LayerKV() for _ in range(cfg.global_layers)]
-        self.local_kv = [_LayerKV() for _ in range(cfg.local_layers)]
-        r = cfg.cross_patch_window if cfg.cross_patch_active else 0
-        self.r = r
-        if r > 0:
-            dh = cfg.local_dim // cfg.local_heads
-            zero = np.zeros((1, cfg.local_heads, r, dh), dtype=T.default_dtype())
-            self.extras = [(zero, zero) for _ in range(cfg.local_layers)]
+        cfg = model.config
+        self.ids = list(prompt)
+        self.pos = 0
+        self.global_kv = [KVCache() for _ in range(cfg.global_layers if cfg.global_active else 0)]
+        self.local_kv = [KVCache() for _ in range(cfg.local_layers if cfg.local_active else 0)]
+        self.slices: Tensor | None = None   # (1, 1, P, D_L) projected global output
         self.serial_steps = 0
 
-    # - shared layer pieces, incremental shapes -
+    def advance(self, end: int, counted: bool) -> np.ndarray | None:
+        """Run positions pos..end-1, a patch at a time: one global call when
+        a patch starts and one local call over its rows. Position t reads
+        the bytes before it. Returns the log-prob row of position end - 1."""
+        p = self.model.config.patch_size
+        h = None
+        while self.pos < end:
+            k, p0 = divmod(self.pos, p)
+            p1 = min(p, p0 + end - self.pos)
+            if p0 == 0:
+                self._start_patch(k, counted)
+            h = self._local_rows(k, p0, p1)
+            if counted:
+                self.serial_steps += (p1 - p0) * len(self.local_kv)
+            self.pos += p1 - p0
+        if h is None:
+            return None
+        return T.log_softmax_last(self.model.output_head(h[:, :, -1:])).data.reshape(-1)
 
-    def _ln(self, name, x):
-        return T.layer_norm(x, self.p[f"{name}.gain"], self.p[f"{name}.bias"])
-
-    def _qkv_row(self, prefix, x, heads):
-        q = T.matmul(x, self.p[f"{prefix}.wq"]) + self.p[f"{prefix}.bq"]
-        k = T.matmul(x, self.p[f"{prefix}.wk"]) + self.p[f"{prefix}.bk"]
-        v = T.matmul(x, self.p[f"{prefix}.wv"]) + self.p[f"{prefix}.bv"]
-        return (_split_heads(q, heads).data, _split_heads(k, heads).data,
-                _split_heads(v, heads).data)
-
-    def _block(self, scope, i, x, cache, heads, extras=None, rotary=False):
-        a = self._ln(f"{scope}{i}.ln1", x)
-        q, k_new, v_new = self._qkv_row(f"{scope}{i}.attn", a, heads)
-        k_all, v_all = cache.append(k_new, v_new)
-        ek, ev = (extras if extras is not None else (None, None))
-        att = T.causal_attention(Tensor(q), Tensor(k_all), Tensor(v_all),
-                                 extra_k=None if ek is None else Tensor(ek),
-                                 extra_v=None if ev is None else Tensor(ev),
-                                 rotary=rotary)
-        att = T.matmul(_merge_heads(att), self.p[f"{scope}{i}.attn.wo"]) \
-            + self.p[f"{scope}{i}.attn.bo"]
-        x = x + att
-        h = (T.matmul(self._ln(f"{scope}{i}.ln2", x), self.p[f"{scope}{i}.ff.w1"])
-             + self.p[f"{scope}{i}.ff.b1"]).relu()
-        return x + T.matmul(h, self.p[f"{scope}{i}.ff.w2"]) + self.p[f"{scope}{i}.ff.b2"]
-
-    # - global advance: one new patch position -
-
-    def _advance_global(self, counted: bool) -> None:
-        cfg = self.cfg
-        k_idx = self.patches_done
-        m = cfg.patch_size * cfg.global_dim
-        if k_idx == 0:
-            x = Tensor(self.p["global_pad"].data.reshape(1, 1, m))
-        else:
-            # Recompute byte embeddings over the prefix; the conv stack
-            # spans patch boundaries, so this is the simplest correct form.
-            hi = k_idx * cfg.patch_size
-            ids = np.asarray(self.ids[:hi], dtype=np.int64)[None, :]
-            emb = T.embedding(self.p["global_embed"], ids) + self.p["global_pos"][:hi]
-            if cfg.conv_active:
-                for w in (3, 5, 7):
-                    emb = emb + T.causal_conv1d(emb, self.p[f"conv{w}"]).relu()
-            x = emb.data[:, hi - cfg.patch_size:hi, :].reshape(1, 1, m)
-            x = Tensor(x)
-        for i in range(cfg.global_layers):
-            x = self._block("g", i, x, self.global_kv[i], cfg.global_heads)
-        if cfg.global_layers > 0:
-            x = self._ln("g.lnf", x)
-        chunks = x.reshape(1, cfg.patch_size, cfg.global_dim)
-        self.slices = T.matmul(chunks, self.p["gl_proj"]).data[0]
-        self.patches_done += 1
-        self.local_kv = [_LayerKV() for _ in range(cfg.local_layers)]
-        if counted:
-            self.serial_steps += self.l_global
-
-    def _finish_patch(self) -> None:
-        if self.r > 0:
-            self.extras = [(kv.k[..., -self.r:, :], kv.v[..., -self.r:, :])
-                           for kv in self.local_kv]
-
-    # - one byte position: returns the log-prob row over the vocab -
-
-    def step(self, counted: bool) -> np.ndarray:
-        cfg = self.cfg
-        t = len(self.ids)
-        if t >= cfg.context_len:
-            raise ValueError("generation would exceed the model context")
-        k_idx, p_idx = divmod(t, cfg.patch_size)
-        if cfg.global_active and k_idx >= self.patches_done:
-            if k_idx > 0:
-                self._finish_patch()
-            self._advance_global(counted)
-        elif not cfg.global_active and p_idx == 0:
-            if k_idx > 0:
-                self._finish_patch()
-            self.local_kv = [_LayerKV() for _ in range(cfg.local_layers)]
-
-        if not cfg.local_active:
-            h = Tensor(self.slices[p_idx][None, None, :])
-            logits = self.model.output_head(h)
-        else:
-            if p_idx == 0:
-                byte_part = self.p["local_pad"].data
+    def _start_patch(self, k: int, counted: bool) -> None:
+        model, cfg = self.model, self.model.config
+        for cache in self.local_kv:
+            cache.restart()
+        if cfg.global_active:
+            if k == 0:
+                x = model.params["global_pad"].reshape(1, 1, -1)
             else:
-                byte_part = self.p["local_embed"].data[self.ids[-1]]
-            h = byte_part + self.p["local_pos"].data[p_idx]
-            if cfg.global_active:
-                h = h + self.slices[p_idx]
-            x = Tensor(h[None, None, :])
-            for i in range(cfg.local_layers):
-                extras = self.extras[i] if self.r > 0 else None
-                x = self._block("l", i, x, self.local_kv[i], cfg.local_heads,
-                                extras=extras, rotary=self.r > 0)
-            if cfg.local_layers > 0:
-                x = self._ln("l.lnf", x)
-            logits = self.model.output_head(x)
+                # Patch k's input is patch k-1's bytes, read with the conv stack's context.
+                lo = max(0, (k - 1) * cfg.patch_size - CONV_CONTEXT)
+                emb = model._embed_bytes(np.asarray(self.ids[lo:k * cfg.patch_size])[None, :], lo)
+                x = emb[:, -cfg.patch_size:, :].reshape(1, 1, -1)
+            self.slices = model.project_global(model._stack("g", x, caches=self.global_kv))
         if counted:
-            self.serial_steps += self.l_local
-        row = logits.data.reshape(-1)
-        return row - np.log(np.exp(row - row.max()).sum()) - row.max()
+            self.serial_steps += len(self.global_kv)
 
-    def push(self, byte: int) -> None:
-        self.ids.append(int(byte))
+    def _local_rows(self, k: int, p0: int, p1: int) -> Tensor:
+        """Final local states (1, 1, p1 - p0, D_L) of rows p0..p1-1 of patch k."""
+        model, p = self.model, self.model.config.patch_size
+        if not model.config.local_active:
+            return self.slices[:, :, p0:p1]
+        patch = np.zeros((1, p), dtype=np.int64)
+        known = self.ids[k * p:(k + 1) * p]
+        patch[0, :len(known)] = known
+        x = model._local_byte_embed(patch, p0, p1)
+        if model.config.global_active:
+            x = x + self.slices[:, :, p0:p1]
+        return model._stack("l", x, caches=self.local_kv)
 
 
 def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
@@ -341,7 +238,8 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
     """Sample n_bytes autoregressively after the prompt.
 
     temperature 0 is greedy (deterministic); the global model advances
-    once per patch against its cache, the local model once per byte.
+    once per patch against its cache, the local model once per byte. The
+    prompt goes through the same caches a patch at a time.
     """
     cfg = model.config
     if temperature < 0:
@@ -354,12 +252,10 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
     cum_steps: list[int] = []
 
     with T.no_grad():
-        dec = _Decoder(model)
-        for b in prompt:
-            dec.step(counted=False)
-            dec.push(b)
+        dec = _Decoder(model, prompt)
+        dec.advance(len(prompt), counted=False)
         for _ in range(n_bytes):
-            row = dec.step(counted=True)
+            row = dec.advance(dec.pos + 1, counted=True)
             if temperature == 0.0:
                 byte = int(np.argmax(row))
             else:
@@ -370,7 +266,7 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
             out.append(byte)
             logprobs.append(float(row[byte]))
             cum_steps.append(dec.serial_steps)
-            dec.push(byte)
+            dec.ids.append(byte)
 
     return GenTrace(data=bytes(out), logprobs=np.asarray(logprobs),
                     serial_steps=np.asarray(cum_steps, dtype=np.int64),

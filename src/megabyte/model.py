@@ -22,6 +22,9 @@ PAD = -1
 
 FF_MULT = 4
 LN_EPS = 1e-5
+CONV_WIDTHS = (3, 5, 7)
+# Bytes back the conv stack reads: each causal conv of width w, w - 1.
+CONV_CONTEXT = sum(w - 1 for w in CONV_WIDTHS)
 
 
 def _auto_heads(dim: int) -> int:
@@ -132,7 +135,7 @@ def parameter_spec(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], bool, s
             ("global_pad", (p, dg), False, "normal"),
         ]
         if cfg.conv_active:
-            for w in (3, 5, 7):
+            for w in CONV_WIDTHS:
                 spec.append((f"conv{w}", (w, dg, dg), True, "normal"))
         for i in range(cfg.global_layers):
             spec += _layer_spec(f"g{i}", m)
@@ -274,6 +277,40 @@ def _merge_heads(x: Tensor) -> Tensor:
     return y.reshape(*lead, t, heads * dh)
 
 
+class KVCache:
+    """Key/value rows of one layer for incremental decode (head-split,
+    pre-rotary). `restart` begins a new patch and keeps the finished one in
+    `prev`, whose last rows are the next patch's cross-patch slots."""
+
+    def __init__(self):
+        self.k: Tensor | None = None
+        self.v: Tensor | None = None
+        self.prev: tuple[Tensor | None, Tensor | None] = (None, None)
+
+    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if self.k is not None:
+            k, v = T.concat([self.k, k], axis=-2), T.concat([self.v, v], axis=-2)
+        self.k, self.v = k, v
+        return k, v
+
+    def restart(self) -> None:
+        self.prev = (self.k, self.v)
+        self.k = self.v = None
+
+
+def _cross_slots(x: Tensor, r: int, before: Tensor | None) -> Tensor:
+    """Cross-patch slots for (B, K, H, t, dh) keys or values: each patch
+    gets the last r rows of the patch before it. The first patch takes them
+    from `before`, the patch decoded ahead of it, or zeros at the start."""
+    b, _, h, _, dh = x.shape
+    if before is None:
+        before = Tensor(np.zeros((b, 1, h, r, dh), dtype=x.data.dtype))
+    slots = before[..., -r:, :]
+    if x.shape[1] > 1:
+        slots = T.concat([slots, x[:, :-1, :, -r:, :]], axis=1)
+    return slots
+
+
 class MegabyteDecoder:
     """Ties a ModelConfig to a Parameters set and runs the forward pass.
 
@@ -289,6 +326,18 @@ class MegabyteDecoder:
 
     # -- patch embedder (global input) ----------------------------------
 
+    def _embed_bytes(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        """Byte + position embeddings of (B, t) bytes at positions start..,
+        then the causal conv stack when it is on. The stack reads
+        CONV_CONTEXT bytes back, so when it is on and start > 0, only rows
+        from CONV_CONTEXT on equal those of the whole sequence."""
+        cfg, p = self.config, self.params
+        emb = T.embedding(p["global_embed"], ids) + p["global_pos"][start:start + ids.shape[-1]]
+        if cfg.conv_active:
+            for w in CONV_WIDTHS:
+                emb = emb + T.causal_conv1d(emb, p[f"conv{w}"]).relu()
+        return emb
+
     def embed_global(self, ids: np.ndarray) -> Tensor:
         """Byte + position embeddings, reshaped into K patch vectors of P*D_G.
 
@@ -296,17 +345,11 @@ class MegabyteDecoder:
         positional term); with the conv encoder on, the 3-5-7 causal stack
         contextualizes byte embeddings before chunking.
         """
-        cfg, p = self.config, self.params
+        cfg = self.config
         b, t = ids.shape
-        k = t // cfg.patch_size
-        emb = T.embedding(p["global_embed"], ids)
-        emb = emb + p["global_pos"][:t]
-        if cfg.conv_active:
-            for w in (3, 5, 7):
-                emb = emb + T.causal_conv1d(emb, p[f"conv{w}"]).relu()
-        patches = emb.reshape(b, k, cfg.patch_size * cfg.global_dim)
-        pad = T.broadcast_to(p["global_pad"].reshape(1, 1, -1),
-                             (b, 1, cfg.patch_size * cfg.global_dim))
+        m = cfg.patch_size * cfg.global_dim
+        patches = self._embed_bytes(ids).reshape(b, t // cfg.patch_size, m)
+        pad = T.broadcast_to(self.params["global_pad"].reshape(1, 1, -1), (b, 1, m))
         return T.concat([pad, patches[:, :-1, :]], axis=1)
 
     # -- transformer stacks ----------------------------------------------
@@ -314,70 +357,54 @@ class MegabyteDecoder:
     def _ln(self, name: str, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"], LN_EPS)
 
-    def _ff(self, prefix: str, x: Tensor) -> Tensor:
-        p = self.params
-        h = (T.matmul(x, p[f"{prefix}.w1"]) + p[f"{prefix}.b1"]).relu()
-        return T.matmul(h, p[f"{prefix}.w2"]) + p[f"{prefix}.b2"]
+    def _layer(self, scope: str, i: int, x: Tensor, rng=None,
+               cache: KVCache | None = None) -> Tensor:
+        """Pre-norm layer i of the global (scope "g", rows are patches) or
+        the local stack (scope "l", batched over (B, K) patches of rows).
 
-    def _qkv(self, prefix: str, x: Tensor, heads: int) -> tuple[Tensor, Tensor, Tensor]:
-        p = self.params
-        q = T.matmul(x, p[f"{prefix}.wq"]) + p[f"{prefix}.bq"]
-        kk = T.matmul(x, p[f"{prefix}.wk"]) + p[f"{prefix}.bk"]
-        v = T.matmul(x, p[f"{prefix}.wv"]) + p[f"{prefix}.bv"]
-        return _split_heads(q, heads), _split_heads(kk, heads), _split_heads(v, heads)
-
-    def _global_layer(self, i: int, x: Tensor, rng) -> Tensor:
-        cfg = self.config
-        a = self._ln(f"g{i}.ln1", x)
-        q, k, v = self._qkv(f"g{i}.attn", a, cfg.global_heads)
-        att = T.causal_attention(q, k, v)
-        att = T.matmul(_merge_heads(att), self.params[f"g{i}.attn.wo"]) + self.params[f"g{i}.attn.bo"]
+        With a cache, x holds only new rows: their keys and values are
+        appended to it and they attend over every cached row. With
+        cross-patch attention, each local patch also sees the last r
+        key/value slots of the previous patch at the same layer (zeros
+        before the first), with rotary positions placing them at -r..-1.
+        """
+        cfg, p = self.config, self.params
+        name = f"{scope}{i}"
+        heads = cfg.global_heads if scope == "g" else cfg.local_heads
+        a = self._ln(f"{name}.ln1", x)
+        q, k, v = (_split_heads(T.matmul(a, p[f"{name}.attn.w{c}"]) + p[f"{name}.attn.b{c}"], heads)
+                   for c in "qkv")
+        if cache is not None:
+            k, v = cache.append(k, v)
+        r = cfg.cross_patch_window if scope == "l" and cfg.cross_patch_active else 0
+        if r > 0:
+            prev_k, prev_v = cache.prev if cache is not None else (None, None)
+            att = T.causal_attention(q, k, v, extra_k=_cross_slots(k, r, prev_k),
+                                     extra_v=_cross_slots(v, r, prev_v), rotary=True)
+        else:
+            att = T.causal_attention(q, k, v)
+        att = T.matmul(_merge_heads(att), p[f"{name}.attn.wo"]) + p[f"{name}.attn.bo"]
         x = x + T.dropout(att, cfg.dropout, rng)
-        f = self._ff(f"g{i}.ff", self._ln(f"g{i}.ln2", x))
+        h = (T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"]) + p[f"{name}.ff.b1"]).relu()
+        f = T.matmul(h, p[f"{name}.ff.w2"]) + p[f"{name}.ff.b2"]
         return x + T.dropout(f, cfg.dropout, rng)
+
+    def _stack(self, scope: str, x: Tensor, rng=None,
+               caches: list[KVCache] | None = None) -> Tensor:
+        """Every layer of one half (one cache per layer, if given), then its
+        final norm."""
+        n = self.config.global_layers if scope == "g" else self.config.local_layers
+        for i in range(n):
+            x = self._layer(scope, i, x, rng, None if caches is None else caches[i])
+        return self._ln(f"{scope}.lnf", x) if n > 0 else x
 
     def global_forward(self, h_global_in: Tensor, rng=None) -> Tensor:
         """Pre-norm decoder stack, causal over the K patch positions."""
-        cfg = self.config
-        x = h_global_in
-        for i in range(cfg.global_layers):
-            x = self._global_layer(i, x, rng)
-        if cfg.global_layers > 0:
-            x = self._ln("g.lnf", x)
-        return x
-
-    def _local_layer(self, i: int, x: Tensor, rng) -> Tensor:
-        """One local layer batched over (B, K) patches.
-
-        With cross-patch attention, each patch additionally sees the last
-        r key/value slots of the previous patch at the same layer (patch 0
-        sees zeros), with rotary positions placing them at -r..-1.
-        """
-        cfg = self.config
-        r = cfg.cross_patch_window if cfg.cross_patch_active else 0
-        a = self._ln(f"l{i}.ln1", x)
-        q, k, v = self._qkv(f"l{i}.attn", a, cfg.local_heads)
-        if r > 0:
-            b, kp, h, t, dh = k.shape
-            zero = Tensor(np.zeros((b, 1, h, r, dh), dtype=k.data.dtype))
-            ek = T.concat([zero, k[:, :-1, :, t - r:, :]], axis=1)
-            ev = T.concat([zero, v[:, :-1, :, t - r:, :]], axis=1)
-            att = T.causal_attention(q, k, v, extra_k=ek, extra_v=ev, rotary=True)
-        else:
-            att = T.causal_attention(q, k, v)
-        att = T.matmul(_merge_heads(att), self.params[f"l{i}.attn.wo"]) + self.params[f"l{i}.attn.bo"]
-        x = x + T.dropout(att, cfg.dropout, rng)
-        f = self._ff(f"l{i}.ff", self._ln(f"l{i}.ln2", x))
-        return x + T.dropout(f, cfg.dropout, rng)
+        return self._stack("g", h_global_in, rng)
 
     def local_forward(self, h_local_in: Tensor, rng=None) -> Tensor:
         """Local stack over every patch (batched), then the tied output head."""
-        cfg = self.config
-        x = h_local_in
-        for i in range(cfg.local_layers):
-            x = self._local_layer(i, x, rng)
-        if cfg.local_layers > 0:
-            x = self._ln("l.lnf", x)
+        x = self._stack("l", h_local_in, rng)
         b, k, p_sz, dl = x.shape
         return self.output_head(x.reshape(b, k * p_sz, dl))
 
@@ -387,19 +414,18 @@ class MegabyteDecoder:
 
     # -- combining the two halves -----------------------------------------
 
-    def _local_byte_embed(self, ids: np.ndarray) -> Tensor:
-        """Shifted byte embeddings per patch, plus learned local positions."""
+    def _local_byte_embed(self, ids: np.ndarray, start: int = 0, stop: int | None = None) -> Tensor:
+        """Shifted byte embeddings per patch, plus learned local positions,
+        at within-patch positions start..stop-1 (default: all P)."""
         cfg, p = self.config, self.params
-        b, t = ids.shape
-        k = t // cfg.patch_size
-        pad = T.broadcast_to(p["local_pad"].reshape(1, 1, 1, -1), (b, k, 1, cfg.local_dim))
-        if cfg.patch_size > 1:
-            loc = prepare_local_input(ids, cfg.patch_size)
-            real = T.embedding(p["local_embed"], loc[:, :, 1:])
-            emb = T.concat([pad, real], axis=2)
+        loc = prepare_local_input(ids, cfg.patch_size)[..., start:stop]
+        if start > 0:
+            emb = T.embedding(p["local_embed"], loc)
         else:
-            emb = pad
-        return emb + p["local_pos"][:cfg.patch_size]
+            pad = T.broadcast_to(p["local_pad"].reshape(1, 1, 1, -1),
+                                 loc.shape[:-1] + (1, cfg.local_dim))
+            emb = T.concat([pad, T.embedding(p["local_embed"], loc[..., 1:])], axis=-2)
+        return emb + p["local_pos"][start:stop]
 
     def project_global(self, h_global_out: Tensor) -> Tensor:
         """Slice each patch output into P chunks of D_G and project to D_L."""

@@ -148,7 +148,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backprop is not None:
-                node._backprop()
+                node._backprop(node.grad)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -156,11 +156,11 @@ class Tensor:
         other = _as_tensor(other)
         out = _result(np.add(self.data, other.data), (self, other), "add")
         if out._prev:
-            def _bp():
+            def _bp(g):
                 if _tracked(self):
-                    self._accum(_unbroadcast(out.grad, self.shape))
+                    self._accum(_unbroadcast(g, self.shape))
                 if _tracked(other):
-                    other._accum(_unbroadcast(out.grad, other.shape))
+                    other._accum(_unbroadcast(g, other.shape))
             out._backprop = _bp
         return out
 
@@ -168,11 +168,11 @@ class Tensor:
         other = _as_tensor(other)
         out = _result(np.multiply(self.data, other.data), (self, other), "mul")
         if out._prev:
-            def _bp():
+            def _bp(g):
                 if _tracked(self):
-                    self._accum(_unbroadcast(out.grad * other.data, self.shape))
+                    self._accum(_unbroadcast(g * other.data, self.shape))
                 if _tracked(other):
-                    other._accum(_unbroadcast(out.grad * self.data, other.shape))
+                    other._accum(_unbroadcast(g * self.data, other.shape))
             out._backprop = _bp
         return out
 
@@ -199,8 +199,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         out = _result(np.maximum(self.data, 0.0), (self,), "relu")
         if out._prev:
-            def _bp():
-                self._accum(out.grad * (self.data > 0))
+            def _bp(g):
+                self._accum(g * (self.data > 0))
             out._backprop = _bp
         return out
 
@@ -209,8 +209,8 @@ class Tensor:
             shape = tuple(shape[0])
         out = _result(self.data.reshape(shape), (self,), "reshape")
         if out._prev:
-            def _bp():
-                self._accum(out.grad.reshape(self.shape))
+            def _bp(g):
+                self._accum(g.reshape(self.shape))
             out._backprop = _bp
         return out
 
@@ -218,8 +218,8 @@ class Tensor:
         out = _result(np.transpose(self.data, axes), (self,), "transpose")
         if out._prev:
             inv = np.argsort(axes)
-            def _bp():
-                self._accum(np.transpose(out.grad, inv))
+            def _bp(g):
+                self._accum(np.transpose(g, inv))
             out._backprop = _bp
         return out
 
@@ -227,18 +227,17 @@ class Tensor:
         # Basic slicing only: views never alias repeated elements.
         out = _result(self.data[key], (self,), "slice")
         if out._prev:
-            def _bp():
-                g = np.zeros_like(self.data)
-                g[key] += out.grad
-                self._accum(g)
+            def _bp(g):
+                full = np.zeros_like(self.data)
+                full[key] += g
+                self._accum(full)
             out._backprop = _bp
         return out
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
         if out._prev:
-            def _bp():
-                g = out.grad
+            def _bp(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(g, self.shape))
@@ -283,12 +282,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
     if out._prev:
-        def _bp():
+        def _bp(g):
             if _tracked(a):
-                ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
                 a._accum(_unbroadcast(ga, a.shape))
             if _tracked(b):
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accum(_unbroadcast(gb, b.shape))
         out._backprop = _bp
     return out
@@ -299,13 +298,13 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     out = _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
     if out._prev:
         sizes = [t.shape[axis] for t in tensors]
-        def _bp():
+        def _bp(g):
             offset = 0
             for t, n in zip(tensors, sizes):
                 if _tracked(t):
-                    idx = [slice(None)] * out.ndim
+                    idx = [slice(None)] * g.ndim
                     idx[axis] = slice(offset, offset + n)
-                    t._accum(out.grad[tuple(idx)])
+                    t._accum(g[tuple(idx)])
                 offset += n
         out._backprop = _bp
     return out
@@ -315,8 +314,8 @@ def broadcast_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     t = _as_tensor(t)
     out = _result(np.broadcast_to(t.data, shape).copy(), (t,), "broadcast_to")
     if out._prev:
-        def _bp():
-            t._accum(_unbroadcast(out.grad, t.shape))
+        def _bp(g):
+            t._accum(_unbroadcast(g, t.shape))
         out._backprop = _bp
     return out
 
@@ -328,10 +327,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ValueError("embedding id out of range")
     out = _result(table.data[ids], (table,), "embedding")
     if out._prev:
-        def _bp():
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, out.grad)
-            table._accum(g)
+        def _bp(g):
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids, g)
+            table._accum(gt)
         out._backprop = _bp
     return out
 
@@ -344,10 +343,10 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
     out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
     out = _result(out_data, (x,), "gather_last")
     if out._prev:
-        def _bp():
-            g = np.zeros_like(x.data)
-            np.put_along_axis(g, idx[..., None], out.grad[..., None], axis=-1)
-            x._accum(g)
+        def _bp(g):
+            gx = np.zeros_like(x.data)
+            np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
+            x._accum(gx)
         out._backprop = _bp
     return out
 
@@ -360,8 +359,7 @@ def softmax_last(x: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = _result(y, (x,), "softmax_last")
     if out._prev:
-        def _bp():
-            g = out.grad
+        def _bp(g):
             x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
         out._backprop = _bp
     return out
@@ -374,8 +372,7 @@ def log_softmax_last(x: Tensor) -> Tensor:
     out = _result(shifted - logz, (x,), "log_softmax_last")
     if out._prev:
         sm = np.exp(out.data)
-        def _bp():
-            g = out.grad
+        def _bp(g):
             x._accum(g - sm * g.sum(axis=-1, keepdims=True))
         out._backprop = _bp
     return out
@@ -392,8 +389,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if out._prev:
         d = x.shape[-1]
         lead = tuple(range(x.ndim - 1))
-        def _bp():
-            g = out.grad
+        def _bp(g):
             if _tracked(gain):
                 gain._accum((g * xhat).sum(axis=lead))
             if _tracked(bias):
@@ -424,8 +420,7 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
         out_data += np.matmul(xp[..., j:j + t, :], kernel.data[j])
     out = _result(out_data, (x, kernel), "causal_conv1d")
     if out._prev:
-        def _bp():
-            g = out.grad
+        def _bp(g):
             if _tracked(kernel):
                 gk = np.zeros_like(kernel.data)
                 for j in range(w):
@@ -462,13 +457,13 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, invert: bool = Fals
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor,
                      extra_k: Tensor | None = None, extra_v: Tensor | None = None,
-                     rotary: bool = False, q_start: int | None = None) -> Tensor:
+                     rotary: bool = False) -> Tensor:
     """Scaled dot-product attention under a causal mask.
 
     q is (..., t_q, d); k and v are (..., t_k, d) and share leading dims
-    with q. Query row i sits at absolute position q_start + i (default:
-    the last t_q key positions) and attends keys at positions <= its own,
-    plus every slot of extra_k/extra_v (..., r, d), which are always
+    with q. The queries are the last t_q key positions: row i sits at
+    absolute position t_k - t_q + i and attends keys at positions <= its
+    own, plus every slot of extra_k/extra_v (..., r, d), which are always
     visible. With rotary=True, q and k are rotated by their absolute
     positions and extra slots sit at offsets -r..-1 before position 0.
 
@@ -490,8 +485,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor,
     t_q, d = q.shape[-2], q.shape[-1]
     t_k = k.shape[-2]
     r = extra_k.shape[-2] if has_extra else 0
-    if q_start is None:
-        q_start = t_k - t_q
+    q_start = t_k - t_q
     if rotary and d % 2 != 0:
         raise ValueError("rotary positions need an even head dim")
 
@@ -534,8 +528,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor,
     parents = (q, k, v) + ((extra_k, extra_v) if has_extra else ())
     out = _result(out_data, parents, "causal_attention")
     if out._prev:
-        def _bp():
-            g = out.grad
+        def _bp(g):
             gw_causal = np.matmul(g, np.swapaxes(v.data, -1, -2))
             if has_extra:
                 gw = np.concatenate(

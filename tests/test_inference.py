@@ -230,20 +230,25 @@ GEN_VARIANTS = [
     dict(no_local=True),
     dict(no_global=True),
     dict(no_global=True, cross_patch_window=2),
+    # Past its first 12 + P bytes, decode embeds only a window for the conv.
+    dict(conv_encoder=True, context_len=32),
 ]
 
 
 @pytest.mark.parametrize("over", GEN_VARIANTS)
 def test_greedy_generation_matches_teacher_forcing(over):
+    # Prompts that are empty, end mid-patch, end on a boundary, and span
+    # two patches; each run fills the context.
     cfg = small_config(**over)
     m = build(cfg, seed=15)
     rng = np.random.default_rng(16)
-    prompt = bytes(rng.integers(0, 256, size=6, dtype=np.uint8))
-    trace = generate(m, prompt, 10, temperature=0.0)
-    full = np.frombuffer(prompt + trace.data, dtype=np.uint8).astype(np.int64)
-    lp = m.forward(full).data
-    forced = lp[np.arange(6, 16), full[6:]]
-    assert np.allclose(trace.logprobs, forced, atol=1e-5), over
+    for p_len in (0, 3, 4, 9):
+        prompt = bytes(rng.integers(0, 256, size=p_len, dtype=np.uint8))
+        trace = generate(m, prompt, cfg.context_len - p_len, temperature=0.0)
+        full = np.frombuffer(prompt + trace.data, dtype=np.uint8).astype(np.int64)
+        lp = m.forward(full).data
+        forced = lp[np.arange(p_len, cfg.context_len), full[p_len:]]
+        assert np.allclose(trace.logprobs, forced, rtol=0, atol=1e-10), (over, p_len)
 
 
 def test_greedy_generation_deterministic():

@@ -1,6 +1,9 @@
 """Tensor engine: forward values against hand/brute-force oracles, every
 differentiable op against central finite differences at 64-bit."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -309,6 +312,38 @@ def test_repeated_backward_is_error():
     loss.backward()
     with pytest.raises(RuntimeError):
         loss.backward()
+
+
+def test_graph_is_freed_by_reference_counting():
+    # No backward closure refers to the node that holds it, so a walked
+    # graph dies with its last reference, with the cycle collector off.
+    rng = np.random.default_rng(0)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
+    gc.disable()
+    try:
+        x = T.embedding(table, np.array([[0, 1, 2, 3]]))
+        h = T.layer_norm(T.matmul(x, w).relu(), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        h = h + T.causal_conv1d(h, kernel) * 0.5
+        q = h.reshape(1, 1, 4, 4).transpose((0, 1, 3, 2))
+        a = T.causal_attention(q, q, q, extra_k=q[..., :2, :], extra_v=q[..., :2, :], rotary=True)
+        c = T.concat([a, T.broadcast_to(w[:1], (1, 1, 1, 4))], axis=-2)
+        c = T.softmax_last(c) - c.mean(axis=-1, keepdims=True)
+        loss = T.gather_last(T.log_softmax_last(c), np.zeros((1, 1, 5), dtype=np.int64)).sum()
+        nodes, stack = [], [loss]
+        while stack:
+            node = stack.pop()
+            if node._prev:
+                nodes.append(node)
+                stack.extend(node._prev)
+        refs = [weakref.ref(n.data) for n in nodes]
+        loss.backward()
+        del x, h, q, a, c, loss, nodes, stack, node
+        assert all(r() is None for r in refs)
+        assert w.grad is not None and table.grad is not None and kernel.grad is not None
+    finally:
+        gc.enable()
 
 
 def test_detached_subgraph_gets_zero_gradient():
