@@ -51,13 +51,6 @@ class GenTrace:
     total_serial_steps: int
 
 
-def _target_logprobs(model: MegabyteDecoder, inputs: np.ndarray) -> np.ndarray:
-    """Teacher-forced log p(x_t | x_<t) for every row position, (B, T)."""
-    with T.no_grad():
-        logp = model.forward(inputs).data
-    return np.take_along_axis(logp, inputs[..., None], axis=-1)[..., 0]
-
-
 def strided_partition(t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions supplied by pass A (original alignment) and pass B (offset
     by P/2): exactly those in the first half of one of the two patch frames."""
@@ -68,40 +61,37 @@ def strided_partition(t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return pos[from_a], pos[~from_a]
 
 
-def _strided_scores(model: MegabyteDecoder, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-position target log-probs under strided inference, batched.
+def _window_scores(model: MegabyteDecoder, ids: np.ndarray,
+                   strided: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher-forced log p(x_t | x_<t) at every position of one window of
+    whole patches, and each position's within-patch index in the frame
+    that scored it.
 
-    Pass B runs on the window shifted left by P/2 with trailing pad bytes,
-    so byte t sits at within-patch position (t - P/2) mod P. Returns the
-    combined (B, T) log-probs and the (T,) scoring-frame patch positions.
+    Strided inference takes the positions strided_partition gives pass B
+    from a second pass over the window shifted left by P/2, where byte t
+    sits at within-patch position (t - P/2) mod P.
     """
     p = model.config.patch_size
-    if p % 2 != 0:
-        raise ValueError("strided inference requires an even patch size")
-    half = p // 2
-    t = inputs.shape[-1]
-    lp_a = _target_logprobs(model, inputs)
-    shifted = np.concatenate(
-        [inputs[..., half:], np.zeros(inputs.shape[:-1] + (half,), dtype=inputs.dtype)], axis=-1)
-    lp_b_frame = _target_logprobs(model, shifted)
-
-    pos = np.arange(t)
-    use_a = (pos % p) < half
-    combined = np.where(use_a, lp_a, np.roll(lp_b_frame, half, axis=-1))
-    frame_pos = np.where(use_a, pos % p, pos % p - half)
-    return combined, frame_pos
+    pos = np.arange(len(ids))
+    frame_pos = pos % p
+    if strided:
+        _, from_b = strided_partition(len(ids), p)
+    with T.no_grad():
+        logp = model.forward(ids).data[pos, ids]
+        if strided:
+            half = p // 2
+            shifted = np.concatenate([ids[half:], np.zeros(half, dtype=ids.dtype)])
+            logp[from_b] = model.forward(shifted).data[from_b - half, ids[from_b]]
+            frame_pos[from_b] -= half
+    return logp, frame_pos
 
 
-def strided_inference(model: MegabyteDecoder, window: np.ndarray) -> np.ndarray:
-    """Combined per-position log-probs for one window of T bytes."""
-    window = np.asarray(window)
-    combined, _ = _strided_scores(model, window[None, :])
-    return combined[0]
+def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basic") -> EvalReport:
+    """Score a corpus under the chosen inference mode.
 
-
-def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basic",
-                 eval_batch: int = 16) -> EvalReport:
-    """Score a corpus under the chosen inference mode."""
+    Each window runs alone, cut to the whole patches that hold its real
+    bytes; the model is causal, so the padding it drops changes no score.
+    """
     if mode not in MODE_COST:
         raise ValueError(f"mode must be one of {sorted(MODE_COST)}")
     cfg = model.config
@@ -118,36 +108,18 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
     # Sliding windows overlap by half; every window after a document's
     # first scores only its later half, which no earlier window scored.
     overlap = t // 2 if sliding else 0
-    windows = make_windows(docs, t, stride=t - overlap)
-    keep_from = [overlap if w.offset else 0 for w in windows]
-
-    bits_sum = 0.0
-    count = 0
     pos_bits = np.zeros(p)
     pos_count = np.zeros(p, dtype=np.int64)
-
-    for i in range(0, len(windows), eval_batch):
-        group = windows[i:i + eval_batch]
-        inputs = np.stack([w.bytes for w in group])
-        mask = np.stack([w.mask for w in group])
-        for row, start in enumerate(keep_from[i:i + eval_batch]):
-            mask[row, :start] = False
-        if strided:
-            logp, frame_pos = _strided_scores(model, inputs)
-        else:
-            logp = _target_logprobs(model, inputs)
-            frame_pos = np.arange(t) % p
-        bits = -logp / LN2
-        bits_sum += float(bits[mask].sum())
-        count += int(mask.sum())
-        for j in range(p):
-            sel = mask & (frame_pos == j)[None, :]
-            pos_bits[j] += float(bits[sel].sum())
-            pos_count[j] += int(sel.sum())
+    for w in make_windows(docs, t, stride=t - overlap):
+        n = w.real_length
+        logp, frame_pos = _window_scores(model, w.bytes[:-(-n // p) * p], strided)
+        keep = slice(overlap if w.offset else 0, n)
+        pos_bits += np.bincount(frame_pos[keep], weights=-logp[keep] / LN2, minlength=p)
+        pos_count += np.bincount(frame_pos[keep], minlength=p)
 
     mean_pos = np.divide(pos_bits, pos_count, out=np.zeros_like(pos_bits),
                          where=pos_count > 0)
-    return EvalReport(bpb=bits_sum / count, per_position_loss=mean_pos,
+    return EvalReport(bpb=float(pos_bits.sum() / pos_count.sum()), per_position_loss=mean_pos,
                       per_position_count=pos_count, mode=mode,
                       cost_multiplier=MODE_COST[mode])
 

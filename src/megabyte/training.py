@@ -211,6 +211,7 @@ def train(model: MegabyteDecoder, windows, cfg: TrainConfig,
             if not math.isfinite(loss_bits):
                 raise FloatingPointError("non-finite loss")
             loss.backward()
+            del log_probs, loss   # free this update's graph before the next forward
         except FloatingPointError as exc:
             raise TrainingDiverged(f"step {step}: {exc}") from exc
 

@@ -14,9 +14,8 @@ from megabyte.inference import (
     count_words,
     evaluate_bpb,
     generate,
-    strided_inference,
     strided_partition,
-    _target_logprobs,
+    _window_scores,
 )
 from megabyte.model import MegabyteDecoder, ModelConfig
 from megabyte.tensor import Tensor
@@ -80,18 +79,57 @@ def test_oracle_model_scores_zero():
     assert report.bpb == 0.0
 
 
-def test_basic_matches_manual_summation():
-    cfg = small_config()
-    m = build(cfg, seed=3)
-    docs = random_docs(3 * cfg.context_len, seed=4)
-    report = evaluate_bpb(m, docs, mode="basic")
-    raw = np.frombuffer(docs[0].data, dtype=np.uint8).astype(np.int64)
-    total = 0.0
-    for w in range(3):
-        ids = raw[w * 16:(w + 1) * 16]
-        lp = m.forward(ids).data
-        total += float(-lp[np.arange(16), ids].sum() / math.log(2))
-    assert report.bpb == pytest.approx(total / 48, abs=1e-10)
+def target_logprobs(model, ids):
+    return model.forward(ids).data[np.arange(len(ids)), ids]
+
+
+def padded_window_bpb(model, docs, mode):
+    """bpb from model.forward on zero-padded full-T windows, with the window
+    offsets, sliding keep-from and strided pass-B selection built here."""
+    t, p = model.config.context_len, model.config.patch_size
+    half = p // 2
+    sliding = mode in ("sliding", "sliding+strided")
+    strided = mode in ("strided", "sliding+strided")
+    step = t // 2 if sliding else t
+    bits, count = 0.0, 0
+    for doc in docs:
+        raw = np.frombuffer(doc.data, dtype=np.uint8).astype(np.int64)
+        offsets = [0]
+        while offsets[-1] + t < len(raw):
+            offsets.append(offsets[-1] + step)
+        for o in offsets:
+            window = np.zeros(t, dtype=np.int64)
+            real = raw[o:o + t]
+            window[:len(real)] = real
+            lp_a = target_logprobs(model, window)
+            lp_b = target_logprobs(model, np.concatenate([window[half:], np.zeros(half, np.int64)]))
+            for j in range(t // 2 if sliding and o else 0, len(real)):
+                if strided and j % p >= half:
+                    bits -= lp_b[j - half] / math.log(2)
+                else:
+                    bits -= lp_a[j] / math.log(2)
+                count += 1
+    return bits / count
+
+
+ORACLE_VARIANTS = [dict(), dict(conv_encoder=True), dict(cross_patch_window=2),
+                   dict(no_local=True), dict(no_global=True)]
+
+
+def test_every_mode_matches_padded_window_oracle():
+    # Windows run at their own length; scores must equal those of full-T
+    # zero-padded windows, for short, exact, multi-window and multi-document corpora.
+    for over in ORACLE_VARIANTS:
+        cfg = small_config(**over)
+        m = build(cfg, seed=3)
+        for lengths in ((5,), (16,), (48,), (23, 3), (40, 17, 1)):
+            docs = [Document(f"d{i}", bytes(np.random.default_rng(4 + i).integers(
+                0, 256, size=n, dtype=np.uint8))) for i, n in enumerate(lengths)]
+            for mode in MODE_COST:
+                report = evaluate_bpb(m, docs, mode=mode)
+                assert int(report.per_position_count.sum()) == sum(lengths)
+                assert report.bpb == pytest.approx(padded_window_bpb(m, docs, mode), abs=1e-12), \
+                    (over, lengths, mode)
 
 
 def test_eval_rejects_tiny_corpus():
@@ -154,8 +192,8 @@ def test_strided_rejects_odd_patch():
         strided_partition(9, 3)
     cfg = small_config(context_len=9, patch_size=3, local_heads=1)
     m = build(cfg)
-    with pytest.raises(ValueError):
-        strided_inference(m, np.zeros(9, dtype=np.int64))
+    with pytest.raises(ValueError, match="even patch size"):
+        evaluate_bpb(m, [Document("d", bytes(9))], mode="strided")
 
 
 def test_strided_equals_selection_from_both_passes():
@@ -163,7 +201,8 @@ def test_strided_equals_selection_from_both_passes():
     m = build(cfg, seed=9)
     rng = np.random.default_rng(10)
     window = rng.integers(0, 256, size=16)
-    combined = strided_inference(m, window)
+    combined, frame_pos = _window_scores(m, window, strided=True)
+    assert frame_pos.tolist() == [0, 1, 0, 1] * 4
 
     lp_a = m.forward(window).data[np.arange(16), window]
     shifted = np.concatenate([window[2:], np.zeros(2, dtype=window.dtype)])

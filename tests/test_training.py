@@ -1,7 +1,9 @@
 """Init statistics, schedule shape, clipping, Adam behavior, and a fast
 memorization run (the full overfit budget lives in the acceptance suite)."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +232,31 @@ def test_train_rerun_is_bit_identical():
     assert curve_a == curve_b
     for name in params_a:
         assert np.array_equal(params_a[name], params_b[name])
+
+
+def test_train_frees_each_update_graph_before_the_next_forward(monkeypatch):
+    # With the cycle collector off, every earlier forward's output must be
+    # dead by the time the next update's forward starts.
+    cfg = small_config(dropout=0.0)
+    model = MegabyteDecoder(cfg, init_weights(cfg, seed=4))
+    docs = [Document("d", bytes(np.arange(64, dtype=np.uint8) % 11))]
+    windows = make_windows(docs, cfg.context_len, cfg.context_len)
+    refs, alive = [], []
+    real_forward = MegabyteDecoder.forward
+
+    def forward(self, ids, rng=None):
+        alive.append(sum(r() is not None for r in refs))
+        out = real_forward(self, ids, rng)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(MegabyteDecoder, "forward", forward)
+    gc.disable()
+    try:
+        train(model, windows, train_config(total_updates=4, warmup_updates=2, batch_size=2))
+    finally:
+        gc.enable()
+    assert alive == [0, 0, 0, 0]
 
 
 def test_train_divergence_raises():
