@@ -11,11 +11,12 @@ expected parameter inventory on load.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
 
-from .config import config_to_text, configs_from_values, parse_config_text
+from .config import ConfigError, config_to_text, configs_from_values, parse_config_text
 from .model import ModelConfig, Parameters, parameter_spec
 from .tensor import Tensor
 from .training import TrainConfig
@@ -33,23 +34,34 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, model_cfg: ModelConfig, train_cfg: TrainConfig,
                     params: Parameters, window_stride: int = 0) -> None:
+    """Write into a temp file beside `path`, then rename it over `path`, so
+    a save that fails partway leaves any earlier checkpoint intact."""
     config_text = config_to_text(model_cfg, train_cfg, window_stride).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(config_text)))
-        fh.write(config_text)
-        fh.write(struct.pack("<I", len(params)))
-        for name, t in params.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", t.data.ndim))
-            for dim in t.data.shape:
-                fh.write(struct.pack("<I", dim))
-            code = _CODE_BY_KIND[t.data.dtype.name]
-            fh.write(struct.pack("<B", code))
-            fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE_BY_CODE[code]).tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(config_text)))
+            fh.write(config_text)
+            fh.write(struct.pack("<I", len(params)))
+            for name, t in params.items():
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", t.data.ndim))
+                for dim in t.data.shape:
+                    fh.write(struct.pack("<I", dim))
+                code = _CODE_BY_KIND[t.data.dtype.name]
+                fh.write(struct.pack("<B", code))
+                fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE_BY_CODE[code]).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:
@@ -85,14 +97,22 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
     version = rd.u32()
     if version != VERSION:
         raise CheckpointError(f"version mismatch: file has {version}, reader supports {VERSION}")
-    config_text = rd.take(rd.u32()).decode("utf-8")
-    model_cfg, train_cfg, stride = configs_from_values(parse_config_text(config_text))
+    config_blob = rd.take(rd.u32())
+    try:
+        config_text = config_blob.decode("utf-8")
+        model_cfg, train_cfg, stride = configs_from_values(parse_config_text(config_text))
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise CheckpointError(f"bad embedded config: {exc}") from exc
 
     decay_by_name = {name: decay for name, _, decay, _ in parameter_spec(model_cfg)}
     count = rd.u32()
     params = Parameters()
     for _ in range(count):
-        name = rd.take(rd.u16()).decode("utf-8")
+        raw_name = rd.take(rd.u16())
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {raw_name!r}") from exc
         rank = rd.u8()
         shape = tuple(rd.u32() for _ in range(rank))
         code = rd.u8()
@@ -109,5 +129,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
         params.add(name, Tensor(native), decay_by_name[name])
     if rd.pos != len(blob):
         raise CheckpointError("trailing bytes after the last tensor")
-    params.check_against(model_cfg)
+    try:
+        params.check_against(model_cfg)
+    except ValueError as exc:
+        raise CheckpointError(str(exc)) from exc
     return model_cfg, train_cfg, params, stride

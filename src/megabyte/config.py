@@ -116,7 +116,11 @@ def configs_from_values(values: dict[str, object]) -> tuple[ModelConfig, TrainCo
 
 def load_config(path) -> tuple[ModelConfig, TrainConfig, int]:
     with open(path, "r", encoding="utf-8") as fh:
-        return configs_from_values(parse_config_text(fh.read()))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    return configs_from_values(parse_config_text(text))
 
 
 def config_to_text(model_cfg: ModelConfig, train_cfg: TrainConfig,

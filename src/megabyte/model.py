@@ -364,9 +364,10 @@ class MegabyteDecoder:
 
         With a cache, x holds only new rows: their keys and values are
         appended to it and they attend over every cached row. With
-        cross-patch attention, each local patch also sees the last r
-        key/value slots of the previous patch at the same layer (zeros
-        before the first), with rotary positions placing them at -r..-1.
+        cross-patch attention, the last r key/value rows of the previous
+        patch at the same layer (zeros before the first) lead each local
+        patch's keys, and rotary positions make them its r nearest
+        earlier positions.
         """
         cfg, p = self.config, self.params
         name = f"{scope}{i}"
@@ -379,10 +380,9 @@ class MegabyteDecoder:
         r = cfg.cross_patch_window if scope == "l" and cfg.cross_patch_active else 0
         if r > 0:
             prev_k, prev_v = cache.prev if cache is not None else (None, None)
-            att = T.causal_attention(q, k, v, extra_k=_cross_slots(k, r, prev_k),
-                                     extra_v=_cross_slots(v, r, prev_v), rotary=True)
-        else:
-            att = T.causal_attention(q, k, v)
+            k = T.concat([_cross_slots(k, r, prev_k), k], axis=-2)
+            v = T.concat([_cross_slots(v, r, prev_v), v], axis=-2)
+        att = T.causal_attention(q, k, v, rotary=r > 0)
         att = T.matmul(_merge_heads(att), p[f"{name}.attn.wo"]) + p[f"{name}.attn.bo"]
         x = x + T.dropout(att, cfg.dropout, rng)
         h = (T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"]) + p[f"{name}.ff.b1"]).relu()

@@ -2,10 +2,9 @@
 
 Covers exactly the operations the decoder needs: broadcast arithmetic,
 matmul, softmax, layer norm, embedding lookup, causal convolution, and a
-fused causal attention with optional extra key/value slots and rotary
-positions. Arrays are float64 by default; float32 can be selected for
-speed builds via set_default_dtype (gradient tolerances are stated for
-float64).
+fused causal attention with optional rotary positions. Arrays are float64
+by default; float32 can be selected for speed builds via
+set_default_dtype (gradient tolerances are stated for float64).
 
 A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread.
@@ -455,17 +454,15 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, invert: bool = Fals
     return out
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor,
-                     extra_k: Tensor | None = None, extra_v: Tensor | None = None,
-                     rotary: bool = False) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> Tensor:
     """Scaled dot-product attention under a causal mask.
 
     q is (..., t_q, d); k and v are (..., t_k, d) and share leading dims
     with q. The queries are the last t_q key positions: row i sits at
-    absolute position t_k - t_q + i and attends keys at positions <= its
-    own, plus every slot of extra_k/extra_v (..., r, d), which are always
-    visible. With rotary=True, q and k are rotated by their absolute
-    positions and extra slots sit at offsets -r..-1 before position 0.
+    position t_k - t_q + i and attends keys at positions <= its own. With
+    rotary=True, q and k are rotated by those positions, so a score
+    depends only on the query-key offset and keys placed ahead of the
+    first query are simply earlier positions.
 
     Masked lanes underflow to exactly zero weight, so outputs are
     bit-insensitive to future positions.
@@ -473,18 +470,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor,
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
-    has_extra = extra_k is not None
-    if has_extra != (extra_v is not None):
-        raise ValueError("extra_k and extra_v must be given together")
-    if has_extra:
-        extra_k, extra_v = _as_tensor(extra_k), _as_tensor(extra_v)
-        if extra_k.shape != extra_v.shape or extra_k.shape[:-2] != k.shape[:-2] \
-                or extra_k.shape[-1] != k.shape[-1]:
-            raise ValueError("extra key/value shapes must match k/v apart from slot count")
 
     t_q, d = q.shape[-2], q.shape[-1]
     t_k = k.shape[-2]
-    r = extra_k.shape[-2] if has_extra else 0
     q_start = t_k - t_q
     if rotary and d % 2 != 0:
         raise ValueError("rotary positions need an even head dim")
@@ -493,65 +481,37 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor,
     lead = 1
     for s in q.shape[:-2]:
         lead *= s
-    _ATTN_SCORE_OPS += lead * t_q * (t_k + r)
+    _ATTN_SCORE_OPS += lead * t_q * t_k
 
-    dtype = q.data.dtype
     if rotary:
-        cos_q, sin_q = _rotation(q_start + np.arange(t_q), d, dtype)
-        cos_k, sin_k = _rotation(np.arange(t_k), d, dtype)
+        cos_k, sin_k = _rotation(np.arange(t_k), d, q.data.dtype)
+        cos_q, sin_q = cos_k[q_start:], sin_k[q_start:]
         qr = _rotate(q.data, cos_q, sin_q)
         kr = _rotate(k.data, cos_k, sin_k)
-        if has_extra:
-            cos_e, sin_e = _rotation(np.arange(-r, 0), d, dtype)
-            ekr = _rotate(extra_k.data, cos_e, sin_e)
     else:
         qr, kr = q.data, k.data
-        if has_extra:
-            ekr = extra_k.data
 
     scale = 1.0 / math.sqrt(d)
     scores = np.matmul(qr, np.swapaxes(kr, -1, -2)) * scale
     allowed = (q_start + np.arange(t_q))[:, None] >= np.arange(t_k)[None, :]
     scores = np.where(allowed, scores, -np.inf)
-    if has_extra:
-        scores = np.concatenate(
-            [np.matmul(qr, np.swapaxes(ekr, -1, -2)) * scale, scores], axis=-1)
 
     shifted = scores - scores.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     weights /= weights.sum(axis=-1, keepdims=True)
 
-    out_data = np.matmul(weights[..., r:], v.data)
-    if has_extra:
-        out_data += np.matmul(weights[..., :r], extra_v.data)
-
-    parents = (q, k, v) + ((extra_k, extra_v) if has_extra else ())
-    out = _result(out_data, parents, "causal_attention")
+    out = _result(np.matmul(weights, v.data), (q, k, v), "causal_attention")
     if out._prev:
         def _bp(g):
-            gw_causal = np.matmul(g, np.swapaxes(v.data, -1, -2))
-            if has_extra:
-                gw = np.concatenate(
-                    [np.matmul(g, np.swapaxes(extra_v.data, -1, -2)), gw_causal], axis=-1)
-            else:
-                gw = gw_causal
+            gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
             gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
-            gs_causal = gs[..., r:]
-            gqr = np.matmul(gs_causal, kr) * scale
             if _tracked(k):
-                gkr = np.matmul(np.swapaxes(gs_causal, -1, -2), qr) * scale
+                gkr = np.matmul(np.swapaxes(gs, -1, -2), qr) * scale
                 k._accum(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr)
             if _tracked(v):
-                v._accum(np.matmul(np.swapaxes(weights[..., r:], -1, -2), g))
-            if has_extra:
-                gs_extra = gs[..., :r]
-                gqr += np.matmul(gs_extra, ekr) * scale
-                if _tracked(extra_k):
-                    gek = np.matmul(np.swapaxes(gs_extra, -1, -2), qr) * scale
-                    extra_k._accum(_rotate(gek, cos_e, sin_e, invert=True) if rotary else gek)
-                if _tracked(extra_v):
-                    extra_v._accum(np.matmul(np.swapaxes(weights[..., :r], -1, -2), g))
+                v._accum(np.matmul(np.swapaxes(weights, -1, -2), g))
             if _tracked(q):
+                gqr = np.matmul(gs, kr) * scale
                 q._accum(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr)
         out._backprop = _bp
     return out

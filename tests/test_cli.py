@@ -10,7 +10,7 @@ from megabyte.checkpoint import (
     save_checkpoint,
 )
 from megabyte.cli import main
-from megabyte.config import ConfigError, config_to_text, parse_config_text
+from megabyte.config import ConfigError, config_to_text, load_config, parse_config_text
 from megabyte.model import ModelConfig
 from megabyte.training import TrainConfig, init_weights
 
@@ -227,6 +227,16 @@ def test_scan_bad_patch_size_exit2(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--ckpt", "{dir}", "--data", "{dir}/corpus.bin"],
+    ["scan", "--ppm", "{dir}", "--mode", "raster", "--out", "{dir}/seq.bin"],
+], ids=["eval-ckpt", "scan-ppm"])
+def test_input_path_is_a_directory_exit2(workdir, capsys, argv):
+    rc = main([a.format(dir=workdir) for a in argv])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # -- checkpoint format ---------------------------------------------------------------------
 
 def _toy_pair():
@@ -284,6 +294,43 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def _first_name_offset(blob: bytes) -> int:
+    # magic, version, config length, config text, tensor count, name length
+    return 12 + int.from_bytes(blob[8:12], "little") + 4 + 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: b[:12] + b"\xff" + b[13:],
+    lambda b: b.replace(b"vocab_size=19", b"vocab_size=1x"),
+    lambda b: b.replace(b"vocab_size=19", b"vocab_size=18"),
+    lambda b: b[:_first_name_offset(b)] + b"\xff" + b[_first_name_offset(b) + 1:],
+], ids=["config-not-utf8", "config-bad-value", "config-shape-mismatch", "name-not-utf8"])
+def test_checkpoint_corrupt_config_or_name(tmp_path, corrupt):
+    mc, tc = _toy_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, mc, tc, init_weights(mc, 0))
+    blob = path.read_bytes()
+    bad = corrupt(blob)
+    assert len(bad) == len(blob) and bad != blob
+    path.write_bytes(bad)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
+    mc, tc = _toy_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, mc, tc, init_weights(mc, 0))
+    before = path.read_bytes()
+    params = init_weights(mc, 1)
+    last = params[params.names()[-1]]
+    last.data = last.data.astype(np.float16)  # no dtype code: the save fails partway
+    with pytest.raises(KeyError):
+        save_checkpoint(path, mc, tc, params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 def test_checkpoint_surfaces_optimizer_constants(tmp_path):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
@@ -318,3 +365,10 @@ def test_config_order_independent():
     a = parse_config_text("\n".join(lines))
     b = parse_config_text("\n".join(reversed(lines)))
     assert a == b
+
+
+def test_config_file_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(TOY_CONFIG.encode("utf-8") + b"# \xff\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)

@@ -161,16 +161,20 @@ def test_attention_t2_matches_brute_force():
 
 @pytest.mark.parametrize("rotary", [False, True])
 def test_attention_with_extras_matches_brute_force(rotary):
+    # Cross-patch slots fed as ordinary leading keys match the oracle,
+    # which places them at explicit positions -r..-1: once for a whole
+    # patch of queries, once for a single decode query over a longer history.
     rng = np.random.default_rng(8)
-    q = rng.normal(size=(2, 3, 4, 6))
-    k = rng.normal(size=(2, 3, 4, 6))
-    v = rng.normal(size=(2, 3, 4, 6))
-    ek = rng.normal(size=(2, 3, 2, 6))
-    ev = rng.normal(size=(2, 3, 2, 6))
-    out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v),
-                             extra_k=Tensor(ek), extra_v=Tensor(ev), rotary=rotary).data
-    ref = ref_attention(q, k, v, extra_k=ek, extra_v=ev, rotary=rotary)
-    assert np.allclose(out, ref, atol=1e-12)
+    for t_q, t_k in ((4, 4), (1, 5)):
+        q = rng.normal(size=(2, 3, t_q, 6))
+        k = rng.normal(size=(2, 3, t_k, 6))
+        v = rng.normal(size=(2, 3, t_k, 6))
+        ek = rng.normal(size=(2, 3, 2, 6))
+        ev = rng.normal(size=(2, 3, 2, 6))
+        out = T.causal_attention(Tensor(q), Tensor(np.concatenate([ek, k], -2)),
+                                 Tensor(np.concatenate([ev, v], -2)), rotary=rotary).data
+        ref = ref_attention(q, k, v, extra_k=ek, extra_v=ev, rotary=rotary)
+        assert np.allclose(out, ref, atol=1e-12)
 
 
 def test_attention_incremental_query_matches_brute_force():
@@ -198,8 +202,8 @@ def test_attention_grads_finite_differences(rotary):
 
     def build():
         ts = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-        out = T.causal_attention(ts["q"], ts["k"], ts["v"],
-                                 extra_k=ts["ek"], extra_v=ts["ev"], rotary=rotary)
+        out = T.causal_attention(ts["q"], T.concat([ts["ek"], ts["k"]], axis=-2),
+                                 T.concat([ts["ev"], ts["v"]], axis=-2), rotary=rotary)
         ts["loss"] = (out * Tensor(w)).sum()
         return ts
 
@@ -213,7 +217,8 @@ def test_attention_score_counter():
     T.causal_attention(Tensor(q), Tensor(q), Tensor(q))
     assert T.attention_score_ops() == 3 * 4 * 4
     ek = rng.normal(size=(3, 2, 2))
-    T.causal_attention(Tensor(q), Tensor(q), Tensor(q), extra_k=Tensor(ek), extra_v=Tensor(ek))
+    kv = Tensor(np.concatenate([ek, q], -2))
+    T.causal_attention(Tensor(q), kv, kv)
     assert T.attention_score_ops() == 3 * 4 * 4 + 3 * 4 * (4 + 2)
     T.reset_attention_score_ops()
 
@@ -327,7 +332,8 @@ def test_graph_is_freed_by_reference_counting():
         h = T.layer_norm(T.matmul(x, w).relu(), Tensor(np.ones(4)), Tensor(np.zeros(4)))
         h = h + T.causal_conv1d(h, kernel) * 0.5
         q = h.reshape(1, 1, 4, 4).transpose((0, 1, 3, 2))
-        a = T.causal_attention(q, q, q, extra_k=q[..., :2, :], extra_v=q[..., :2, :], rotary=True)
+        kv = T.concat([q[..., :2, :], q], axis=-2)
+        a = T.causal_attention(q, kv, kv, rotary=True)
         c = T.concat([a, T.broadcast_to(w[:1], (1, 1, 1, 4))], axis=-2)
         c = T.softmax_last(c) - c.mean(axis=-1, keepdims=True)
         loss = T.gather_last(T.log_softmax_last(c), np.zeros((1, 1, 5), dtype=np.int64)).sum()
@@ -339,7 +345,7 @@ def test_graph_is_freed_by_reference_counting():
                 stack.extend(node._prev)
         refs = [weakref.ref(n.data) for n in nodes]
         loss.backward()
-        del x, h, q, a, c, loss, nodes, stack, node
+        del x, h, q, kv, a, c, loss, nodes, stack, node
         assert all(r() is None for r in refs)
         assert w.grad is not None and table.grad is not None and kernel.grad is not None
     finally:
