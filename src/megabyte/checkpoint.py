@@ -52,7 +52,10 @@ def save_checkpoint(path, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 fh.write(struct.pack("<B", t.data.ndim))
                 for dim in t.data.shape:
                     fh.write(struct.pack("<I", dim))
-                code = _CODE_BY_KIND[t.data.dtype.name]
+                kind = t.data.dtype.name
+                if kind not in _CODE_BY_KIND:
+                    raise CheckpointError(f"parameter {name!r} has unsupported dtype {kind}")
+                code = _CODE_BY_KIND[kind]
                 fh.write(struct.pack("<B", code))
                 fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE_BY_CODE[code]).tobytes())
             fh.flush()

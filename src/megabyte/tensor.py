@@ -1,13 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Covers exactly the operations the decoder needs: broadcast arithmetic,
-matmul, softmax, layer norm, embedding lookup, causal convolution, and a
-fused causal attention with optional rotary positions. Arrays are float64
-by default; float32 can be selected for speed builds via
-set_default_dtype (gradient tolerances are stated for float64).
+matmul of rows by a 2-D matrix, softmax, layer norm, embedding lookup,
+causal convolution, and a fused causal attention with optional rotary
+positions. Arrays are float64 by default; float32 can be selected for
+speed builds via set_default_dtype (gradient tolerances are stated for
+float64).
 
 A tensor is immutable after creation except for gradient accumulation,
-and one compute graph belongs to a single logical thread.
+and one compute graph belongs to a single logical thread. After backward,
+only leaves (tensors built directly, not by an op) keep a .grad; each
+intermediate's gradient is freed once it has been passed to its inputs.
 """
 
 from __future__ import annotations
@@ -107,17 +110,23 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
+        # A first gradient that owns its memory is adopted, not copied: no
+        # backward closure keeps an array it hands over, or hands it twice.
+        if self.grad is not None:
             self.grad += g
+        elif g.flags.owndata and g.flags.writeable and g.dtype == self.data.dtype:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
 
     def zero_grad(self) -> None:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate grads of every reachable node by reverse traversal.
+        """Populate the grads of every reachable leaf by reverse traversal.
 
+        Each intermediate node's .grad is freed as soon as it has been
+        passed to the node's inputs, so afterwards only leaves hold one.
         The loss must be scalar, and a graph can be walked only once;
         build a fresh forward graph for another pass.
         """
@@ -147,7 +156,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backprop is not None:
-                node._backprop(node.grad)
+                g, node.grad = node.grad, None
+                node._backprop(g)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -156,10 +166,14 @@ class Tensor:
         out = _result(np.add(self.data, other.data), (self, other), "add")
         if out._prev:
             def _bp(g):
+                gs = None
                 if _tracked(self):
-                    self._accum(_unbroadcast(g, self.shape))
+                    gs = _unbroadcast(g, self.shape)
+                    self._accum(gs)
                 if _tracked(other):
-                    other._accum(_unbroadcast(g, other.shape))
+                    go = _unbroadcast(g, other.shape)
+                    # _accum may adopt gs, so other must not get the same array.
+                    other._accum(go.copy() if go is gs else go)
             out._backprop = _bp
         return out
 
@@ -275,19 +289,18 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Stacked matrix product over the last two axes, broadcasting the rest."""
+    """Rows of a (..., k) times one 2-D matrix b (k, n); b's gradient is one GEMM."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if b.ndim != 2 or a.shape[-1:] != b.shape[:1]:
+        raise ValueError(f"matmul needs (..., k) @ (k, n), got {a.shape} @ {b.shape}")
     out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
     if out._prev:
+        k, n = b.shape
         def _bp(g):
             if _tracked(a):
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accum(_unbroadcast(ga, a.shape))
+                a._accum(g @ b.data.T)
             if _tracked(b):
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accum(_unbroadcast(gb, b.shape))
+                b._accum(a.data.reshape(-1, k).T @ g.reshape(-1, n))
         out._backprop = _bp
     return out
 

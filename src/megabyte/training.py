@@ -95,7 +95,7 @@ def grad_global_norm(params: Parameters) -> float:
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:
-            total += float(np.sum(t.grad.astype(np.float64) ** 2))
+            total += float(np.sum(np.square(t.grad, dtype=np.float64)))
     return math.sqrt(total)
 
 

@@ -1,6 +1,8 @@
 """Subcommand behavior: artifacts, exit codes, determinism, checkpoint
 round trips, and the key=value config contract."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -323,9 +325,9 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
     before = path.read_bytes()
     params = init_weights(mc, 1)
-    last = params[params.names()[-1]]
-    last.data = last.data.astype(np.float16)  # no dtype code: the save fails partway
-    with pytest.raises(KeyError):
+    name = params.names()[-1]
+    params[name].data = params[name].data.astype(np.float16)  # no dtype code: the save fails partway
+    with pytest.raises(CheckpointError, match=re.escape(f"{name!r} has unsupported dtype float16")):
         save_checkpoint(path, mc, tc, params)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

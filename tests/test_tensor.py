@@ -46,6 +46,8 @@ def test_matmul_1x1():
 def test_matmul_dim_mismatch():
     with pytest.raises(ValueError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+    with pytest.raises(ValueError):  # the right operand must be one 2-D matrix
+        T.matmul(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((2, 3, 5))))
 
 
 def test_matmul_grad_matches_finite_differences():
@@ -62,17 +64,21 @@ def test_matmul_grad_matches_finite_differences():
 
 
 def test_matmul_batched_broadcast_grad():
+    # b is shared by every leading row of a; (2, 3, 4, 5) is the local
+    # stack's (batch, patch, byte, dim) shape class.
     rng = np.random.default_rng(1)
-    a = rng.normal(size=(2, 3, 4))
-    b = rng.normal(size=(4, 5))  # broadcast over the stack of 2
+    for a_shape in [(2, 3, 4), (2, 3, 4, 5)]:
+        a = rng.normal(size=a_shape)
+        b = rng.normal(size=(a_shape[-1], a_shape[-1] + 1))  # broadcast over the leading axes
+        out_shape = a_shape[:-1] + (b.shape[1],)
 
-    def build():
-        ta = Tensor(a, requires_grad=True)
-        tb = Tensor(b, requires_grad=True)
-        w = Tensor(np.linspace(0.5, 1.5, 2 * 3 * 5).reshape(2, 3, 5))
-        return {"a": ta, "b": tb, "loss": (T.matmul(ta, tb) * w).sum()}
+        def build():
+            ta = Tensor(a, requires_grad=True)
+            tb = Tensor(b, requires_grad=True)
+            w = Tensor(np.linspace(0.5, 1.5, int(np.prod(out_shape))).reshape(out_shape))
+            return {"a": ta, "b": tb, "loss": (T.matmul(ta, tb) * w).sum()}
 
-    _check_grads(build, {"a": a, "b": b}, tol=1e-6, floor=1e-6)
+        _check_grads(build, {"a": a, "b": b}, tol=1e-6, floor=1e-6)
 
 
 # -- softmax ------------------------------------------------------------------
@@ -350,6 +356,64 @@ def test_graph_is_freed_by_reference_counting():
         assert w.grad is not None and table.grad is not None and kernel.grad is not None
     finally:
         gc.enable()
+
+
+def test_backward_keeps_only_leaf_gradients():
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+    h = T.matmul(x, w).relu()
+    y = h * h + h
+    loss = y.sum()
+    loss.backward()
+    for node in (h, y, loss):
+        assert node.grad is None
+    gy = 2.0 * h.data + 1.0
+    gh = gy * (h.data > 0)
+    assert np.allclose(w.grad, np.einsum("btk,btn->kn", x.data, gh), rtol=1e-12, atol=1e-12)
+    assert np.allclose(x.grad, gh @ w.data.T, rtol=1e-12, atol=1e-12)
+
+
+def test_shared_node_graphs_match_finite_differences():
+    # Random graphs of +, *, relu and reshape whose nodes feed several
+    # consumers. A first gradient is adopted rather than copied, so two
+    # parents handed one array would corrupt each other's sums.
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 200:
+        n_ops = int(rng.integers(3, 9))
+        ops = [(str(rng.choice(["add", "mul", "relu", "reshape"])),
+                int(rng.integers(0, 2 + i)), int(rng.integers(0, 2 + i))) for i in range(n_ops)]
+        arrays = {"a": rng.normal(size=(2, 3)), "b": rng.normal(size=(2, 3))}
+        taps = rng.integers(0, 2 + n_ops, size=2)
+        weights = rng.normal(size=(2, 2, 3))
+        relu_inputs = []
+
+        def build():
+            nodes = [Tensor(arrays["a"], requires_grad=True), Tensor(arrays["b"], requires_grad=True)]
+            for op, i, j in ops:
+                x, y = nodes[i], nodes[j]
+                if op == "add":
+                    nodes.append(x + y)
+                elif op == "mul":
+                    nodes.append(x * y)
+                elif op == "relu":
+                    relu_inputs.append(x.data)
+                    nodes.append(x.relu())
+                else:
+                    nodes.append(x.reshape(3, 2).reshape(2, 3))
+            loss = (nodes[-1] * Tensor(weights[0])).sum() + (nodes[taps[0]] * Tensor(weights[1])).sum()
+            loss = loss + nodes[taps[1]].sum() + (nodes[0] + nodes[1]).sum()  # reaches both leaves
+            return {"a": nodes[0], "b": nodes[1], "loss": loss}
+
+        build()
+        # Central differences are valid only away from a relu kink; an
+        # input that is exactly zero is a dead branch, constant nearby.
+        near = [np.abs(v[v != 0]) for v in relu_inputs]
+        if any(d.size and d.min() < 1e-3 for d in near):
+            continue
+        _check_grads(build, arrays)
+        checked += 1
 
 
 def test_detached_subgraph_gets_zero_gradient():
