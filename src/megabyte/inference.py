@@ -5,7 +5,8 @@ scored once), sliding (overlapping windows keep their later half), strided
 (two patch-offset passes, each position scored in the first half of a
 patch), and their combination. Generation decodes autoregressively with a
 per-patch global cache and a per-byte local cache, counting modeled serial
-steps as it goes.
+steps as it goes; a prompt's patches are all known, so they share one
+global call.
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ def count_words(data: bytes) -> int:
 
 class _Decoder:
     """Incremental state of one generation stream: a K/V cache per layer in
-    use, the next position to run, the current patch's global conditioning
-    and the modeled serial steps. The layer math is the model's own."""
+    use, the next position to run, the tail patch's global conditioning
+    and the modeled serial steps. The layer math is the model's own, and
+    the prompt and each decoded byte go through the same `advance`."""
 
     def __init__(self, model: MegabyteDecoder, prompt: bytes):
         self.model = model
@@ -157,39 +159,52 @@ class _Decoder:
         self.serial_steps = 0
 
     def advance(self, end: int, counted: bool) -> np.ndarray | None:
-        """Run positions pos..end-1, a patch at a time: one global call when
-        a patch starts and one local call over its rows. Position t reads
-        the bytes before it. Returns the log-prob row of position end - 1."""
-        p = self.model.config.patch_size
-        h = None
-        while self.pos < end:
-            k, p0 = divmod(self.pos, p)
-            p1 = min(p, p0 + end - self.pos)
-            if p0 == 0:
-                self._start_patch(k, counted)
-            h = self._local_rows(k, p0, p1)
-            if counted:
-                self.serial_steps += (p1 - p0) * len(self.local_kv)
-            self.pos += p1 - p0
-        if h is None:
+        """Run positions pos..end-1 and return the log-prob row of position
+        end - 1 (None if there are none). Position t reads the bytes before it.
+
+        Every patch that starts in [pos, end) goes through one global call,
+        since its input bytes are all known: a prompt costs one call, and a
+        decoded byte that starts a patch is the one-row case. The local
+        stack runs only on rows a later position or the returned row reads:
+        those of the tail patch. Under cross-patch attention each patch's
+        slots are the local keys and values of the patch before, so there
+        it runs once on every patch that [pos, end) touches.
+        """
+        cfg, p = self.model.config, self.model.config.patch_size
+        start = self.pos
+        if end <= start:
             return None
+        self.pos = end
+        k0, k1 = -(-start // p), -(-end // p)
+        if counted:
+            self.serial_steps += (k1 - k0) * len(self.global_kv) + (end - start) * len(self.local_kv)
+        g = None
+        if k1 > k0 and cfg.global_active:
+            g = self.model.project_global(
+                self.model._stack("g", self._global_input(k0, k1), caches=self.global_kv))
+        last = (end - 1) // p
+        for k in range(start // p if cfg.cross_patch_active else last, last + 1):
+            if g is not None and k >= k0:
+                self.slices = g[:, k - k0:k - k0 + 1]
+            r0, r1 = max(start - k * p, 0), min(end - k * p, p)
+            if r0 == 0:
+                for cache in self.local_kv:
+                    cache.restart()
+            h = self._local_rows(k, r0, r1)
         return T.log_softmax_last(self.model.output_head(h[:, :, -1:])).data.reshape(-1)
 
-    def _start_patch(self, k: int, counted: bool) -> None:
-        model, cfg = self.model, self.model.config
-        for cache in self.local_kv:
-            cache.restart()
-        if cfg.global_active:
-            if k == 0:
-                x = model.params["global_pad"].reshape(1, 1, -1)
-            else:
-                # Patch k's input is patch k-1's bytes, read with the conv stack's context.
-                lo = max(0, (k - 1) * cfg.patch_size - CONV_CONTEXT)
-                emb = model._embed_bytes(np.asarray(self.ids[lo:k * cfg.patch_size])[None, :], lo)
-                x = emb[:, -cfg.patch_size:, :].reshape(1, 1, -1)
-            self.slices = model.project_global(model._stack("g", x, caches=self.global_kv))
-        if counted:
-            self.serial_steps += len(self.global_kv)
+    def _global_input(self, k0: int, k1: int) -> Tensor:
+        """Global input rows (1, k1 - k0, P*D_G) of patches k0..k1-1: the pad
+        patch for patch 0, else the patch before's bytes, embedded in one
+        call with the conv stack's context."""
+        model, p = self.model, self.model.config.patch_size
+        rows = [model.params["global_pad"].reshape(1, 1, -1)] if k0 == 0 else []
+        first = max(k0, 1)
+        if k1 > first:
+            lo = max(0, (first - 1) * p - CONV_CONTEXT)
+            emb = model._embed_bytes(np.asarray(self.ids[lo:(k1 - 1) * p])[None, :], lo)
+            rows.append(emb[:, (first - 1) * p - lo:, :].reshape(1, k1 - first, -1))
+        return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
 
     def _local_rows(self, k: int, p0: int, p1: int) -> Tensor:
         """Final local states (1, 1, p1 - p0, D_L) of rows p0..p1-1 of patch k."""
@@ -211,11 +226,13 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
 
     temperature 0 is greedy (deterministic); the global model advances
     once per patch against its cache, the local model once per byte. The
-    prompt goes through the same caches a patch at a time.
+    prompt goes through the same caches first: all of its patches in one
+    global call, and the local model only on the patch it ends in (every
+    prompt patch under cross-patch attention). Prefill adds no serial steps.
     """
     cfg = model.config
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
     if len(prompt) + n_bytes > cfg.context_len:
         raise ValueError("prompt plus requested length exceeds the model context")
     rng = np.random.default_rng(seed)
@@ -231,8 +248,10 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
             if temperature == 0.0:
                 byte = int(np.argmax(row))
             else:
-                scaled = row / temperature
-                probs = np.exp(scaled - scaled.max())
+                # Shifting before dividing keeps the top entry at 0, so a tiny
+                # temperature sends the rest to -inf instead of making inf - inf.
+                with np.errstate(over="ignore"):
+                    probs = np.exp((row - row.max()) / temperature)
                 probs /= probs.sum()
                 byte = int(rng.choice(cfg.vocab_size, p=probs))
             out.append(byte)

@@ -64,7 +64,7 @@ class no_grad:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise FloatingPointError(f"non-finite values produced by {op}")
 
 

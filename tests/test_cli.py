@@ -150,6 +150,19 @@ def test_generate_over_length_exit2(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("temp", ["nan", "inf"])
+def test_generate_non_finite_temperature_exit2(tmp_path, capsys, temp):
+    mc, tc = _toy_pair()
+    save_checkpoint(tmp_path / "m.ckpt", mc, tc, init_weights(mc, 0))
+    rc = main(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--length", "4",
+               "--temperature", temp, "--out", str(tmp_path / "x.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "temperature" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_generate_trace_serial_steps_match_formula(workdir):
     assert _train(workdir) == 0
     rc = main(["generate", "--ckpt", str(workdir / "model.ckpt"),

@@ -2,6 +2,7 @@
 teacher-forced oracle, and the serial-step accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,85 @@ def test_greedy_generation_matches_teacher_forcing(over):
         assert np.allclose(trace.logprobs, forced, rtol=0, atol=1e-10), (over, p_len)
 
 
+LONG_PROMPT_VARIANTS = [
+    dict(),
+    dict(cross_patch_window=2),
+    dict(conv_encoder=True, cross_patch_window=3),
+    dict(no_local=True),
+    dict(no_global=True, cross_patch_window=2),
+    dict(conv_encoder=True),
+]
+
+
+@pytest.mark.parametrize("over", LONG_PROMPT_VARIANTS)
+def test_long_prompt_generation_matches_teacher_forcing(over):
+    # Prompts of every length up to 29 bytes (0 to 7 whole patches plus a
+    # tail) through two layers per half; each run fills the context.
+    cfg = small_config(context_len=32, global_layers=2, local_layers=2, **over)
+    m = build(cfg, seed=21)
+    rng = np.random.default_rng(22)
+    for p_len in range(30):
+        prompt = bytes(rng.integers(0, 256, size=p_len, dtype=np.uint8))
+        trace = generate(m, prompt, cfg.context_len - p_len, temperature=0.0)
+        full = np.frombuffer(prompt + trace.data, dtype=np.uint8).astype(np.int64)
+        forced = m.forward(full).data[np.arange(p_len, cfg.context_len), full[p_len:]]
+        assert np.allclose(trace.logprobs, forced, rtol=0, atol=1e-10), (over, p_len)
+
+
+def count_stack_calls(monkeypatch):
+    calls = []
+    real = MegabyteDecoder._stack
+
+    def counted(self, scope, x, *args, **kwargs):
+        calls.append(scope)
+        return real(self, scope, x, *args, **kwargs)
+
+    monkeypatch.setattr(MegabyteDecoder, "_stack", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prompt_len", [12, 14, 16])
+def test_prompt_prefill_is_one_global_call(monkeypatch, prompt_len):
+    calls = count_stack_calls(monkeypatch)
+    cfg = small_config(context_len=32)
+    m = build(cfg, seed=23)
+    prompt = bytes(range(prompt_len))
+    generate(m, prompt, 0)
+    assert calls.count("g") == 1
+    assert calls.count("l") <= 1
+    for n in (1, 5, 32 - prompt_len):
+        calls.clear()
+        generate(m, prompt, n, temperature=0.0)
+        starts = sum(1 for t in range(prompt_len, prompt_len + n) if t % cfg.patch_size == 0)
+        assert calls.count("g") == 1 + starts, n
+
+
+def test_cross_patch_prefill_runs_local_once_per_prompt_patch(monkeypatch):
+    calls = count_stack_calls(monkeypatch)
+    cfg = small_config(context_len=32, cross_patch_window=2)
+    generate(build(cfg, seed=24), bytes(range(14)), 0)
+    assert calls.count("g") == 1
+    assert calls.count("l") == 4
+
+
+def test_generation_serial_steps_after_a_prompt():
+    # L_G = 4, L_L = 2, P = 4: prefill adds nothing; each generated byte
+    # adds 2 and each patch it starts adds 4 more.
+    cfg = ModelConfig(context_len=16, patch_size=4, global_dim=4, local_dim=8,
+                      global_layers=4, local_layers=2, vocab_size=17, dropout=0.0)
+    m = build(cfg, seed=25)
+    for p_len in (5, 8):
+        assert generate(m, bytes(p_len), 0).total_serial_steps == 0
+    # (prompt length, bytes) -> total: mid-patch to mid-patch, mid-patch to
+    # a boundary, boundary to mid-patch, boundary to a boundary.
+    cases = {(5, 2): 4, (5, 7): 7 * 2 + 4, (8, 3): 3 * 2 + 4, (8, 8): 8 * 2 + 2 * 4}
+    for (p_len, n), total in cases.items():
+        trace = generate(m, bytes(range(p_len)), n, temperature=0.0)
+        assert trace.total_serial_steps == total, (p_len, n)
+        assert trace.serial_steps[-1] == total
+        assert trace.serial_steps[0] == 2 + 4 * (p_len % 4 == 0)
+
+
 def test_greedy_generation_deterministic():
     cfg = small_config()
     m = build(cfg, seed=17)
@@ -328,6 +408,39 @@ def test_generation_respects_context_limit():
 def test_generation_rejects_negative_temperature():
     with pytest.raises(ValueError):
         generate(build(small_config()), b"", 4, temperature=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_generation_rejects_non_finite_temperature(bad):
+    with pytest.raises(ValueError, match="temperature"):
+        generate(build(small_config()), b"", 4, temperature=bad)
+
+
+def test_tiny_temperature_samples_the_argmax_without_warnings():
+    cfg = small_config()
+    m = build(cfg, seed=26)
+    greedy = generate(m, b"abcde", 8, temperature=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for temp in (1e-320, 5e-324, 1e-300):
+            tiny = generate(m, b"abcde", 8, temperature=temp, seed=3)
+            assert tiny.data == greedy.data, temp
+            assert np.array_equal(tiny.logprobs, greedy.logprobs)
+
+
+def test_unit_temperature_samples_the_softmax_of_the_row():
+    # Replays the sampler on teacher-forced rows with the same seed.
+    cfg = small_config()
+    m = build(cfg, seed=27)
+    prompt = b"xyz"
+    trace = generate(m, prompt, 13, temperature=1.0, seed=9)
+    full = np.frombuffer(prompt + trace.data, dtype=np.uint8).astype(np.int64)
+    rows = m.forward(full).data
+    rng = np.random.default_rng(9)
+    for t in range(3, 16):
+        probs = np.exp(rows[t] - rows[t].max())
+        probs /= probs.sum()
+        assert int(rng.choice(cfg.vocab_size, p=probs)) == full[t], t
 
 
 def test_generation_zero_length():
