@@ -251,13 +251,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         # Config, checkpoint, and shape problems are usage errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2

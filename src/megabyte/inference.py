@@ -4,9 +4,10 @@ Evaluation reports bits per byte under four modes: basic (each window
 scored once), sliding (overlapping windows keep their later half), strided
 (two patch-offset passes, each position scored in the first half of a
 patch), and their combination. Generation decodes autoregressively with a
-per-patch global cache and a per-byte local cache, counting modeled serial
-steps as it goes; a prompt's patches are all known, so they share one
-global call.
+per-patch global cache and a per-byte local cache, through the model's own
+input builders (`embed_global`, `combine_for_local`); a prompt's patches
+are all known, so they share one global call. `generate` counts the
+modeled serial steps of each decoded byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Document, make_windows
-from .model import CONV_CONTEXT, KVCache, MegabyteDecoder
+from .model import KVCache, MegabyteDecoder
 from .tensor import Tensor
 
 LN2 = math.log(2.0)
@@ -143,81 +144,56 @@ def count_words(data: bytes) -> int:
 
 
 class _Decoder:
-    """Incremental state of one generation stream: a K/V cache per layer in
-    use, the next position to run, the tail patch's global conditioning
-    and the modeled serial steps. The layer math is the model's own, and
-    the prompt and each decoded byte go through the same `advance`."""
+    """Incremental state of one generation stream: the known bytes, a K/V
+    cache per layer in use, the next position to run and the tail patch's
+    global conditioning. The inputs and the layer math are the model's own,
+    and the prompt and each decoded byte go through the same `advance`."""
 
     def __init__(self, model: MegabyteDecoder, prompt: bytes):
         self.model = model
-        cfg = model.config
-        self.ids = list(prompt)
+        # (1, context) ids: the bytes known so far, then zeros.
+        self.ids = np.zeros((1, model.config.context_len), dtype=np.int64)
+        self.ids[0, :len(prompt)] = np.frombuffer(prompt, dtype=np.uint8)
         self.pos = 0
-        self.global_kv = [KVCache() for _ in range(cfg.global_layers if cfg.global_active else 0)]
-        self.local_kv = [KVCache() for _ in range(cfg.local_layers if cfg.local_active else 0)]
+        self.global_kv = [KVCache() for _ in range(model._depth("g"))]
+        self.local_kv = [KVCache() for _ in range(model._depth("l"))]
         self.slices: Tensor | None = None   # (1, 1, P, D_L) projected global output
-        self.serial_steps = 0
 
-    def advance(self, end: int, counted: bool) -> np.ndarray | None:
+    def advance(self, end: int) -> np.ndarray | None:
         """Run positions pos..end-1 and return the log-prob row of position
         end - 1 (None if there are none). Position t reads the bytes before it.
 
-        Every patch that starts in [pos, end) goes through one global call,
-        since its input bytes are all known: a prompt costs one call, and a
-        decoded byte that starts a patch is the one-row case. The local
-        stack runs only on rows a later position or the returned row reads:
-        those of the tail patch. Under cross-patch attention each patch's
-        slots are the local keys and values of the patch before, so there
-        it runs once on every patch that [pos, end) touches.
+        Every patch that starts in [pos, end) goes through one
+        `embed_global` and one global call, since its input bytes are all
+        known: a prompt costs one call, and a decoded byte that starts a
+        patch is the one-row case. The local stack runs only on rows a
+        later position or the returned row reads: those of the tail patch.
+        Under cross-patch attention each patch's slots are the local keys
+        and values of the patch before, so there it runs once on every
+        patch that [pos, end) touches.
         """
-        cfg, p = self.model.config, self.model.config.patch_size
+        model, p = self.model, self.model.config.patch_size
         start = self.pos
         if end <= start:
             return None
         self.pos = end
         k0, k1 = -(-start // p), -(-end // p)
-        if counted:
-            self.serial_steps += (k1 - k0) * len(self.global_kv) + (end - start) * len(self.local_kv)
         g = None
-        if k1 > k0 and cfg.global_active:
-            g = self.model.project_global(
-                self.model._stack("g", self._global_input(k0, k1), caches=self.global_kv))
+        if k1 > k0 and model.config.global_active:
+            x = model.embed_global(self.ids[:, :(k1 - 1) * p], k0, k1)
+            g = model.project_global(model.global_forward(x, caches=self.global_kv))
         last = (end - 1) // p
-        for k in range(start // p if cfg.cross_patch_active else last, last + 1):
+        for k in range(start // p if model.config.cross_patch_active else last, last + 1):
             if g is not None and k >= k0:
                 self.slices = g[:, k - k0:k - k0 + 1]
             r0, r1 = max(start - k * p, 0), min(end - k * p, p)
             if r0 == 0:
                 for cache in self.local_kv:
                     cache.restart()
-            h = self._local_rows(k, r0, r1)
-        return T.log_softmax_last(self.model.output_head(h[:, :, -1:])).data.reshape(-1)
-
-    def _global_input(self, k0: int, k1: int) -> Tensor:
-        """Global input rows (1, k1 - k0, P*D_G) of patches k0..k1-1: the pad
-        patch for patch 0, else the patch before's bytes, embedded in one
-        call with the conv stack's context."""
-        model, p = self.model, self.model.config.patch_size
-        rows = [model.params["global_pad"].reshape(1, 1, -1)] if k0 == 0 else []
-        first = max(k0, 1)
-        if k1 > first:
-            lo = max(0, (first - 1) * p - CONV_CONTEXT)
-            emb = model._embed_bytes(np.asarray(self.ids[lo:(k1 - 1) * p])[None, :], lo)
-            rows.append(emb[:, (first - 1) * p - lo:, :].reshape(1, k1 - first, -1))
-        return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
-
-    def _local_rows(self, k: int, p0: int, p1: int) -> Tensor:
-        """Final local states (1, 1, p1 - p0, D_L) of rows p0..p1-1 of patch k."""
-        model, p = self.model, self.model.config.patch_size
-        if not model.config.local_active:
-            return self.slices[:, :, p0:p1]
-        patch = np.zeros((1, p), dtype=np.int64)
-        known = self.ids[k * p:(k + 1) * p]
-        patch[0, :len(known)] = known
-        x = model._local_byte_embed(patch, p0, p1)
-        if model.config.global_active:
-            x = x + self.slices[:, :, p0:p1]
-        return model._stack("l", x, caches=self.local_kv)
+            slices = None if self.slices is None else self.slices[:, :, r0:r1]
+            x = model.combine_for_local(slices, self.ids[:, k * p:(k + 1) * p], r0, r1)
+            h = model._stack("l", x, caches=self.local_kv)
+        return T.log_softmax_last(model.output_head(h[:, :, -1:])).data.reshape(-1)
 
 
 def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
@@ -228,9 +204,12 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
     once per patch against its cache, the local model once per byte. The
     prompt goes through the same caches first: all of its patches in one
     global call, and the local model only on the patch it ends in (every
-    prompt patch under cross-patch attention). Prefill adds no serial steps.
+    prompt patch under cross-patch attention). Each decoded byte adds L_L
+    modeled serial steps, plus L_G when it starts a patch; prefill adds none.
     """
     cfg = model.config
+    if n_bytes < 0:
+        raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
     if len(prompt) + n_bytes > cfg.context_len:
@@ -239,12 +218,14 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
     out: list[int] = []
     logprobs: list[float] = []
     cum_steps: list[int] = []
+    steps = 0
 
     with T.no_grad():
         dec = _Decoder(model, prompt)
-        dec.advance(len(prompt), counted=False)
+        dec.advance(len(prompt))
         for _ in range(n_bytes):
-            row = dec.advance(dec.pos + 1, counted=True)
+            steps += len(dec.local_kv) + len(dec.global_kv) * (dec.pos % cfg.patch_size == 0)
+            row = dec.advance(dec.pos + 1)
             if temperature == 0.0:
                 byte = int(np.argmax(row))
             else:
@@ -256,9 +237,9 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
                 byte = int(rng.choice(cfg.vocab_size, p=probs))
             out.append(byte)
             logprobs.append(float(row[byte]))
-            cum_steps.append(dec.serial_steps)
-            dec.ids.append(byte)
+            cum_steps.append(steps)
+            dec.ids[0, dec.pos - 1] = byte
 
     return GenTrace(data=bytes(out), logprobs=np.asarray(logprobs),
                     serial_steps=np.asarray(cum_steps, dtype=np.int64),
-                    total_serial_steps=dec.serial_steps)
+                    total_serial_steps=steps)

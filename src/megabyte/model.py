@@ -6,6 +6,12 @@ local transformer predicts bytes within each patch from the global output
 slice plus the previous byte's embedding. Variants: a causal convolutional
 patch encoder, cross-patch attention with r carried key/value slots, and
 ablations that drop the local or the global half.
+
+Teacher forcing (`forward`) and cached decode (`inference`) share one patch
+pipeline: `embed_global` builds the global input, `global_forward` and
+`project_global` run the global half, `combine_for_local` adds the local
+byte embeddings, and the local stack runs on the result. They differ only
+in how many rows each call covers; an ablated half runs no layers.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("global_layers", "local_layers", "global_heads", "local_heads"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.vocab_size < 1 or self.patch_size < 1 or self.global_dim < 1 or self.local_dim < 1:
             raise ValueError("vocab_size, patch_size and dims must be >= 1")
         if self.context_len < 1 or self.context_len % self.patch_size != 0:
@@ -326,31 +335,31 @@ class MegabyteDecoder:
 
     # -- patch embedder (global input) ----------------------------------
 
-    def _embed_bytes(self, ids: np.ndarray, start: int = 0) -> Tensor:
-        """Byte + position embeddings of (B, t) bytes at positions start..,
-        then the causal conv stack when it is on. The stack reads
-        CONV_CONTEXT bytes back, so when it is on and start > 0, only rows
-        from CONV_CONTEXT on equal those of the whole sequence."""
-        cfg, p = self.config, self.params
-        emb = T.embedding(p["global_embed"], ids) + p["global_pos"][start:start + ids.shape[-1]]
-        if cfg.conv_active:
-            for w in CONV_WIDTHS:
-                emb = emb + T.causal_conv1d(emb, p[f"conv{w}"]).relu()
-        return emb
+    def embed_global(self, ids: np.ndarray, k0: int = 0, k1: int | None = None) -> Tensor:
+        """Global input rows (B, k1 - k0, P*D_G) of patches k0..k1-1 of (B, t)
+        byte ids (default: all t/P of them).
 
-    def embed_global(self, ids: np.ndarray) -> Tensor:
-        """Byte + position embeddings, reshaped into K patch vectors of P*D_G.
-
-        The leading patch is the trainable pad patch, used verbatim (no
-        positional term); with the conv encoder on, the 3-5-7 causal stack
-        contextualizes byte embeddings before chunking.
+        Patch 0 is the trainable pad patch, used verbatim (no positional
+        term); patch k is the byte + position embeddings of patch k - 1's
+        bytes, contextualized by the 3-5-7 causal conv stack when it is on.
+        One embedding call covers the ids from CONV_CONTEXT bytes before
+        patch k0's input to the end, so ids that stop where patch k1 - 1's
+        input stops give the same rows as the whole sequence.
         """
-        cfg = self.config
+        cfg, p = self.config, self.params
         b, t = ids.shape
-        m = cfg.patch_size * cfg.global_dim
-        patches = self._embed_bytes(ids).reshape(b, t // cfg.patch_size, m)
-        pad = T.broadcast_to(self.params["global_pad"].reshape(1, 1, -1), (b, 1, m))
-        return T.concat([pad, patches[:, :-1, :]], axis=1)
+        ps, m = cfg.patch_size, cfg.patch_size * cfg.global_dim
+        k1 = t // ps if k1 is None else k1
+        first = max(k0, 1)
+        lo = max(0, (first - 1) * ps - CONV_CONTEXT)
+        rows = [T.broadcast_to(p["global_pad"].reshape(1, 1, -1), (b, 1, m))] if k0 == 0 else []
+        if t > lo:
+            emb = T.embedding(p["global_embed"], ids[:, lo:]) + p["global_pos"][lo:t]
+            if cfg.conv_active:
+                for w in CONV_WIDTHS:
+                    emb = emb + T.causal_conv1d(emb, p[f"conv{w}"]).relu()
+            rows.append(emb[:, (first - 1) * ps - lo:(k1 - 1) * ps].reshape(b, k1 - first, m))
+        return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
 
     # -- transformer stacks ----------------------------------------------
 
@@ -389,21 +398,32 @@ class MegabyteDecoder:
         f = T.matmul(h, p[f"{name}.ff.w2"]) + p[f"{name}.ff.b2"]
         return x + T.dropout(f, cfg.dropout, rng)
 
+    def _depth(self, scope: str) -> int:
+        """Layers the global ("g") or local ("l") stack runs: none when its
+        half is off."""
+        cfg = self.config
+        if scope == "g":
+            return cfg.global_layers if cfg.global_active else 0
+        return cfg.local_layers if cfg.local_active else 0
+
     def _stack(self, scope: str, x: Tensor, rng=None,
                caches: list[KVCache] | None = None) -> Tensor:
         """Every layer of one half (one cache per layer, if given), then its
-        final norm."""
-        n = self.config.global_layers if scope == "g" else self.config.local_layers
+        final norm; x itself when the half is off."""
+        n = self._depth(scope)
         for i in range(n):
             x = self._layer(scope, i, x, rng, None if caches is None else caches[i])
         return self._ln(f"{scope}.lnf", x) if n > 0 else x
 
-    def global_forward(self, h_global_in: Tensor, rng=None) -> Tensor:
-        """Pre-norm decoder stack, causal over the K patch positions."""
-        return self._stack("g", h_global_in, rng)
+    def global_forward(self, h_global_in: Tensor, rng=None,
+                       caches: list[KVCache] | None = None) -> Tensor:
+        """Pre-norm decoder stack, causal over the patch positions; with
+        caches, the rows are new patches after the cached ones."""
+        return self._stack("g", h_global_in, rng, caches)
 
     def local_forward(self, h_local_in: Tensor, rng=None) -> Tensor:
-        """Local stack over every patch (batched), then the tied output head."""
+        """Local stack over every patch (batched; no layers when the local
+        half is off), then the tied output head."""
         x = self._stack("l", h_local_in, rng)
         b, k, p_sz, dl = x.shape
         return self.output_head(x.reshape(b, k * p_sz, dl))
@@ -434,8 +454,15 @@ class MegabyteDecoder:
         chunks = h_global_out.reshape(b, k, cfg.patch_size, cfg.global_dim)
         return T.matmul(chunks, self.params["gl_proj"])
 
-    def combine_for_local(self, h_global_out: Tensor, ids: np.ndarray) -> Tensor:
-        return self.project_global(h_global_out) + self._local_byte_embed(ids)
+    def combine_for_local(self, slices: Tensor | None, ids: np.ndarray,
+                          start: int = 0, stop: int | None = None) -> Tensor:
+        """Local input at within-patch positions start..stop-1: the projected
+        global slices (None when the global half is off) plus the shifted
+        byte embeddings, or the slices alone when the local half is off."""
+        if not self.config.local_active:
+            return slices
+        emb = self._local_byte_embed(ids, start, stop)
+        return emb if slices is None else slices + emb
 
     # -- full forward -------------------------------------------------------
 
@@ -450,21 +477,15 @@ class MegabyteDecoder:
         single = ids.ndim == 1
         if single:
             ids = ids[None, :]
-        b, t = ids.shape
+        _, t = ids.shape
         if t > cfg.context_len or t % cfg.patch_size != 0:
             raise ValueError("input length must be a multiple of patch_size, at most context_len")
 
-        if not cfg.global_active:
-            h_local_in = self._local_byte_embed(ids)
-            logits = self.local_forward(h_local_in, rng)
-        else:
-            h_global_out = self.global_forward(self.embed_global(ids), rng)
-            if not cfg.local_active:
-                proj = self.project_global(h_global_out)
-                logits = self.output_head(proj.reshape(b, t, cfg.local_dim))
-            else:
-                h_local_in = self.combine_for_local(h_global_out, ids)
-                logits = self.local_forward(h_local_in, rng)
-
-        out = T.log_softmax_last(logits)
+        # One name for every stage, so that without a graph each stage's
+        # output is freed once the next is built.
+        h = None
+        if cfg.global_active:
+            h = self.project_global(self.global_forward(self.embed_global(ids), rng))
+        h = self.combine_for_local(h, ids)
+        out = T.log_softmax_last(self.local_forward(h, rng))
         return out[0] if single else out

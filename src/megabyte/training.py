@@ -43,11 +43,12 @@ class TrainConfig:
     adam_eps: float = ADAM_EPS
 
     def __post_init__(self):
-        if self.warmup_updates > self.total_updates:
-            raise ValueError("warmup_updates must be <= total_updates")
-        for name in ("peak_lr", "end_lr", "clip_norm", "weight_decay", "dropout"):
+        for name in ("total_updates", "warmup_updates", "peak_lr", "end_lr", "clip_norm",
+                     "weight_decay", "dropout"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.warmup_updates > self.total_updates:
+            raise ValueError("warmup_updates must be <= total_updates")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

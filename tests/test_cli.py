@@ -76,6 +76,26 @@ def test_train_unknown_key_exit2(workdir, capsys):
     assert "mystery_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,edits", [
+    ("global_layers", [("global_layers = 1", "global_layers = -1")]),
+    ("local_heads", [("seed = 7", "seed = 7\nlocal_heads = -2")]),
+    ("warmup_updates", [("warmup_updates = 2", "warmup_updates = -2")]),
+    ("total_updates", [("total_updates = 3", "total_updates = -1"),
+                       ("warmup_updates = 2", "warmup_updates = -2")]),
+])
+def test_train_negative_count_exit2(workdir, capsys, field, edits):
+    text = TOY_CONFIG
+    for old, new in edits:
+        text = text.replace(old, new)
+    (workdir / "run.cfg").write_text(text)
+    with pytest.raises(ConfigError, match=field):
+        load_config(workdir / "run.cfg")
+    assert _train(workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (workdir / "model.ckpt").exists()
+
+
 def test_train_divergence_exit3(workdir, capsys):
     (workdir / "run.cfg").write_text(TOY_CONFIG.replace("peak_lr = 0.01", "peak_lr = 1e9")
                                      .replace("total_updates = 3", "total_updates = 40"))

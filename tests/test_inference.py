@@ -331,17 +331,24 @@ def count_stack_calls(monkeypatch):
 @pytest.mark.parametrize("prompt_len", [12, 14, 16])
 def test_prompt_prefill_is_one_global_call(monkeypatch, prompt_len):
     calls = count_stack_calls(monkeypatch)
+    embeds = []
+    real_embed = MegabyteDecoder.embed_global
+    monkeypatch.setattr(MegabyteDecoder, "embed_global",
+                        lambda self, *a, **kw: embeds.append(a) or real_embed(self, *a, **kw))
     cfg = small_config(context_len=32)
     m = build(cfg, seed=23)
     prompt = bytes(range(prompt_len))
     generate(m, prompt, 0)
     assert calls.count("g") == 1
     assert calls.count("l") <= 1
+    assert len(embeds) == 1
     for n in (1, 5, 32 - prompt_len):
         calls.clear()
+        embeds.clear()
         generate(m, prompt, n, temperature=0.0)
         starts = sum(1 for t in range(prompt_len, prompt_len + n) if t % cfg.patch_size == 0)
         assert calls.count("g") == 1 + starts, n
+        assert len(embeds) == calls.count("g"), n
 
 
 def test_cross_patch_prefill_runs_local_once_per_prompt_patch(monkeypatch):
@@ -441,6 +448,13 @@ def test_unit_temperature_samples_the_softmax_of_the_row():
         probs = np.exp(rows[t] - rows[t].max())
         probs /= probs.sum()
         assert int(rng.choice(cfg.vocab_size, p=probs)) == full[t], t
+
+
+def test_generation_rejects_negative_length(monkeypatch):
+    calls = count_stack_calls(monkeypatch)
+    with pytest.raises(ValueError, match="n_bytes"):
+        generate(build(small_config()), b"ab", -5)
+    assert calls == []
 
 
 def test_generation_zero_length():

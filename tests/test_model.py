@@ -150,6 +150,21 @@ def test_embed_global_rejects_bad_byte():
         m.embed_global(np.array([[0, 1, 2, 3, 4, 5, 6, 99]]))
 
 
+@pytest.mark.parametrize("conv", [False, True])
+def test_embed_global_patch_range_matches_whole_sequence(conv):
+    # Patches k0..k1-1 read only the bytes before patch k1 - 1 ends (the
+    # cached decoder passes no more); the conv stack's lead-in reaches back
+    # across up to three patches of P = 4.
+    cfg = toy_config(context_len=64, conv_encoder=conv)
+    m = build(cfg, seed=5)
+    ids = np.random.default_rng(6).integers(0, cfg.vocab_size, size=(2, 64))
+    whole = m.embed_global(ids).data
+    for k1 in range(1, cfg.num_patches + 1):
+        for k0 in range(k1):
+            part = m.embed_global(ids[:, :(k1 - 1) * 4], k0, k1).data
+            assert np.array_equal(part, whole[:, k0:k1]), (k0, k1)
+
+
 # -- global stack -------------------------------------------------------------------
 
 def test_global_forward_zero_layers_is_identity():
@@ -191,7 +206,7 @@ def test_combine_zero_projection_leaves_byte_embedding():
     m.params["gl_proj"].data[:] = 0.0
     ids = np.arange(8)[None, :] % cfg.vocab_size
     h_g = T.Tensor(np.random.default_rng(11).normal(size=(1, 2, 16)))
-    got = m.combine_for_local(h_g, ids).data
+    got = m.combine_for_local(m.project_global(h_g), ids).data
     expect = m._local_byte_embed(ids).data
     assert np.array_equal(got, expect)
 
@@ -202,7 +217,7 @@ def test_combine_identity_projection_passes_chunk():
     m.params["gl_proj"].data[:] = np.eye(4)
     ids = np.arange(8)[None, :] % cfg.vocab_size
     h_g = T.Tensor(np.random.default_rng(13).normal(size=(1, 2, 16)))
-    got = m.combine_for_local(h_g, ids).data
+    got = m.combine_for_local(m.project_global(h_g), ids).data
     byte_part = m._local_byte_embed(ids).data
     assert np.allclose(got - byte_part, h_g.data.reshape(1, 2, 4, 4), atol=1e-15)
 
@@ -213,7 +228,7 @@ def test_combine_matches_naive_loop():
     rng = np.random.default_rng(15)
     ids = rng.integers(0, cfg.vocab_size, size=12)
     h_g = rng.normal(size=(3, 12))
-    got = m.combine_for_local(T.Tensor(h_g[None]), ids[None]).data[0]
+    got = m.combine_for_local(m.project_global(T.Tensor(h_g[None])), ids[None]).data[0]
     p = m.params
     for k in range(3):
         for pos in range(4):

@@ -269,6 +269,21 @@ def test_train_divergence_raises():
         train(model, windows, tc)
 
 
+@pytest.mark.parametrize("field,over", [
+    ("total_updates", dict(total_updates=-1, warmup_updates=-2)),
+    ("warmup_updates", dict(warmup_updates=-2)),
+])
+def test_train_config_rejects_negative_counts(field, over):
+    with pytest.raises(ValueError, match=field):
+        train_config(**over)
+
+
+@pytest.mark.parametrize("field", ["global_layers", "local_layers", "global_heads", "local_heads"])
+def test_model_config_rejects_negative_counts(field):
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: -1})
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         train_config(warmup_updates=20, total_updates=10)
