@@ -7,6 +7,7 @@ All subcommands are deterministic given --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -149,7 +150,7 @@ def _parse_size(raw: str) -> int:
         val = float(raw)
     except ValueError:
         raise UsageError(f"malformed size {raw!r}") from None
-    if val <= 0 or val != int(val):
+    if not math.isfinite(val) or val <= 0 or val != int(val):
         raise UsageError(f"size must be a positive integer, got {raw!r}")
     return int(val)
 

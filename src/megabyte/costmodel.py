@@ -41,6 +41,9 @@ class ArchSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        for name in ("l_global", "l_local", "embed_dim"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.kind == "megabyte":
             if self.m_global <= 0:
                 raise ValueError("megabyte spec needs m_global > 0")

@@ -3,7 +3,11 @@
 Evaluation reports bits per byte under four modes: basic (each window
 scored once), sliding (overlapping windows keep their later half), strided
 (two patch-offset passes, each position scored in the first half of a
-patch), and their combination. Generation decodes autoregressively with a
+patch), and their combination. Every pass runs the global half on all of
+its window's patches but the local half, head and log-softmax only on the
+patches and within-patch positions it keeps; under cross-patch attention
+the local stack still runs on every row, since each patch's slots read the
+patch before. Generation decodes autoregressively with a
 per-patch global cache and a per-byte local cache, through the model's own
 input builders (`embed_global`, `combine_for_local`); a prompt's patches
 are all known, so they share one global call. `generate` counts the
@@ -63,29 +67,37 @@ def strided_partition(t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return pos[from_a], pos[~from_a]
 
 
-def _window_scores(model: MegabyteDecoder, ids: np.ndarray,
-                   strided: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Teacher-forced log p(x_t | x_<t) at every position of one window of
-    whole patches, and each position's within-patch index in the frame
+def _window_scores(model: MegabyteDecoder, ids: np.ndarray, strided: bool,
+                   start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher-forced log p(x_t | x_<t) at positions start.. of one window
+    of whole patches, and each position's within-patch index in the frame
     that scored it.
 
     Strided inference takes the positions strided_partition gives pass B
     from a second pass over the window shifted left by P/2, where byte t
-    sits at within-patch position (t - P/2) mod P.
+    sits at frame position t - P/2. Each pass asks `forward` for the
+    smallest range of patches and within-patch positions that holds the
+    frame positions it scores, so the local half runs only on those rows
+    (on every row under cross-patch attention, whose slots read the
+    patch before).
     """
     p = model.config.patch_size
-    pos = np.arange(len(ids))
-    frame_pos = pos % p
+    pos = np.arange(start, len(ids))
+    shift = np.zeros_like(pos)
     if strided:
         _, from_b = strided_partition(len(ids), p)
+        shift[from_b[from_b >= start] - start] = p // 2
+    frame = pos - shift
+    logp = np.empty(len(pos))
     with T.no_grad():
-        logp = model.forward(ids).data[pos, ids]
-        if strided:
-            half = p // 2
-            shifted = np.concatenate([ids[half:], np.zeros(half, dtype=ids.dtype)])
-            logp[from_b] = model.forward(shifted).data[from_b - half, ids[from_b]]
-            frame_pos[from_b] -= half
-    return logp, frame_pos
+        for s in np.unique(shift):
+            sel = shift == s
+            f = frame[sel]
+            k0, stop = int(f[0]) // p, int((f % p).max()) + 1
+            window = np.concatenate([ids[s:], np.zeros(s, dtype=ids.dtype)])
+            rows = (f // p - k0) * stop + f % p
+            logp[sel] = model.forward(window, k0=k0, stop=stop).data[rows, ids[pos[sel]]]
+    return logp, frame % p
 
 
 def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basic") -> EvalReport:
@@ -93,6 +105,9 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
 
     Each window runs alone, cut to the whole patches that hold its real
     bytes; the model is causal, so the padding it drops changes no score.
+    A sliding window after a document's first scores only its later half,
+    and a strided pass only the first half of each patch of its frame, so
+    the local half of each forward runs only on those rows.
     """
     if mode not in MODE_COST:
         raise ValueError(f"mode must be one of {sorted(MODE_COST)}")
@@ -114,8 +129,9 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
     pos_count = np.zeros(p, dtype=np.int64)
     for w in make_windows(docs, t, stride=t - overlap):
         n = w.real_length
-        logp, frame_pos = _window_scores(model, w.bytes[:-(-n // p) * p], strided)
-        keep = slice(overlap if w.offset else 0, n)
+        start = overlap if w.offset else 0
+        logp, frame_pos = _window_scores(model, w.bytes[:-(-n // p) * p], strided, start)
+        keep = slice(0, n - start)
         pos_bits += np.bincount(frame_pos[keep], weights=-logp[keep] / LN2, minlength=p)
         pos_count += np.bincount(frame_pos[keep], minlength=p)
 

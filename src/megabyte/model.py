@@ -421,10 +421,14 @@ class MegabyteDecoder:
         caches, the rows are new patches after the cached ones."""
         return self._stack("g", h_global_in, rng, caches)
 
-    def local_forward(self, h_local_in: Tensor, rng=None) -> Tensor:
+    def local_forward(self, h_local_in: Tensor, rng=None, k0: int = 0,
+                      stop: int | None = None) -> Tensor:
         """Local stack over every patch (batched; no layers when the local
-        half is off), then the tied output head."""
+        half is off), then the tied output head on patches k0.. and
+        within-patch positions [0, stop) of its output (default: all)."""
         x = self._stack("l", h_local_in, rng)
+        if k0 > 0 or stop is not None:
+            x = x[:, k0:, :stop]
         b, k, p_sz, dl = x.shape
         return self.output_head(x.reshape(b, k * p_sz, dl))
 
@@ -466,11 +470,20 @@ class MegabyteDecoder:
 
     # -- full forward -------------------------------------------------------
 
-    def forward(self, ids: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
-        """Log-probabilities over the vocabulary at every position.
+    def forward(self, ids: np.ndarray, rng: np.random.Generator | None = None,
+                k0: int = 0, stop: int | None = None) -> Tensor:
+        """Log-probabilities over the vocabulary at within-patch positions
+        [0, stop) of patches k0..K-1 (default: every position), shape
+        (B, (K - k0) * stop, V); position t is row (t // P - k0) * stop + t % P.
 
         ids is (T,) or (B, T) with T a multiple of the patch size, at most
         the configured context length. rng enables dropout (training).
+        The global half runs on every patch, since later patches attend to
+        earlier ones. The local half is causal within a patch and, without
+        cross-patch attention, independent across patches, so it runs only
+        on the rows asked for. Cross-patch slots are the last r rows of the
+        patch before at every layer, so there the local stack runs on all
+        rows and the head and log-softmax only on those asked for.
         """
         cfg = self.config
         ids = np.asarray(ids)
@@ -478,14 +491,22 @@ class MegabyteDecoder:
         if single:
             ids = ids[None, :]
         _, t = ids.shape
-        if t > cfg.context_len or t % cfg.patch_size != 0:
+        p = cfg.patch_size
+        if t > cfg.context_len or t % p != 0:
             raise ValueError("input length must be a multiple of patch_size, at most context_len")
+        if not 0 <= k0 < max(1, t // p) or stop is not None and not 1 <= stop <= p:
+            raise ValueError("need 0 <= k0 < T/P and 1 <= stop <= P")
 
         # One name for every stage, so that without a graph each stage's
         # output is freed once the next is built.
+        cut = (0, None)
+        if cfg.cross_patch_active:  # slots read the patch before: cut after the stack
+            cut, k0, stop = (k0, stop), 0, None
         h = None
         if cfg.global_active:
-            h = self.project_global(self.global_forward(self.embed_global(ids), rng))
-        h = self.combine_for_local(h, ids)
-        out = T.log_softmax_last(self.local_forward(h, rng))
+            h = self.global_forward(self.embed_global(ids), rng)
+            h = self.project_global(h[:, k0:] if k0 > 0 else h)
+            h = h if stop is None else h[:, :, :stop]
+        h = self.combine_for_local(h, ids[:, k0 * p:], 0, stop)
+        out = T.log_softmax_last(self.local_forward(h, rng, *cut))
         return out[0] if single else out

@@ -225,6 +225,21 @@ def test_cost_malformed_size_exit2(capsys):
     assert main(["cost", "--spec", "transformer:m=660e6"]) == 2  # no seq len
 
 
+@pytest.mark.parametrize("spec", ["transformer:m=1e400,l=2", "megabyte:mg=inf,ml=10,p=4",
+                                  "transformer:m=nan"])
+def test_cost_non_finite_size_exit2(capsys, spec):
+    assert main(["cost", "--spec", spec, "--seq-len", "64"]) == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, field", [("transformer:m=1e6,l=-3", "l_global"),
+                                         ("megabyte:mg=4000,ml=100,p=4,ll=-1", "l_local"),
+                                         ("transformer:m=1000,d=-64", "embed_dim")])
+def test_cost_negative_count_exit2(capsys, spec, field):
+    assert main(["cost", "--spec", spec, "--seq-len", "64"]) == 2
+    assert field in capsys.readouterr().err
+
+
 # -- scan -------------------------------------------------------------------------------------
 
 def _write_ppm(path, h, w, seed=0):

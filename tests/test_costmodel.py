@@ -79,6 +79,14 @@ def test_spec_validation():
         ArchSpec("linear_transformer", m=10, embed_dim=0)
 
 
+@pytest.mark.parametrize("field", ["l_global", "l_local", "embed_dim"])
+def test_spec_rejects_negative_counts(field):
+    with pytest.raises(ValueError, match=field):
+        ArchSpec("transformer", m=1000, **{field: -3})
+    with pytest.raises(ValueError, match=field):
+        ArchSpec("megabyte", m_global=4000, m_local=100, patch_size=4, **{field: -1})
+
+
 # -- attention_ops --------------------------------------------------------------------
 
 def test_attention_ops_hand_values():

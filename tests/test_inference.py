@@ -49,11 +49,13 @@ class OracleModel:
     def __init__(self, cfg):
         self.config = cfg
 
-    def forward(self, ids, rng=None):
+    def forward(self, ids, rng=None, k0=0, stop=None):
         ids = np.asarray(ids)
-        lp = np.full(ids.shape + (self.config.vocab_size,), -1e9)
+        p, v = self.config.patch_size, self.config.vocab_size
+        lp = np.full(ids.shape + (v,), -1e9)
         np.put_along_axis(lp, ids[..., None], 0.0, axis=-1)
-        return Tensor(lp)
+        lp = lp.reshape(ids.shape[:-1] + (-1, p, v))[..., k0:, :stop, :]
+        return Tensor(lp.reshape(ids.shape[:-1] + (-1, v)))
 
 
 def random_docs(total, seed=0, pieces=1):
@@ -131,6 +133,31 @@ def test_every_mode_matches_padded_window_oracle():
                 assert int(report.per_position_count.sum()) == sum(lengths)
                 assert report.bpb == pytest.approx(padded_window_bpb(m, docs, mode), abs=1e-12), \
                     (over, lengths, mode)
+
+
+@pytest.mark.parametrize("cross, expected", [
+    # T=32, P=4, sliding+strided: each pass keeps within-patch positions
+    # [0, 2) of its frame. 40 bytes: window 0 keeps all 8 patches, 2 x 8 x 2
+    # rows; window 1 (offset 16, 24 bytes) keeps patches 4-5, 2 x 2 x 2.
+    # 7 bytes: 2 patches, 2 x 2 x 2.
+    (0, 32 + 8 + 8),
+    # Cross-patch slots read the patch before: every row of every pass,
+    # 2 x (32 + 24 + 8).
+    (2, 2 * (32 + 24 + 8)),
+])
+def test_eval_runs_local_half_on_scored_rows_only(monkeypatch, cross, expected):
+    rows = []
+    real = MegabyteDecoder.local_forward
+
+    def counted(self, h, *args, **kwargs):
+        rows.append(int(np.prod(h.shape[:-1])))
+        return real(self, h, *args, **kwargs)
+
+    monkeypatch.setattr(MegabyteDecoder, "local_forward", counted)
+    cfg = small_config(context_len=32, cross_patch_window=cross)
+    docs = [Document("a", bytes(range(40))), Document("b", bytes(range(7)))]
+    evaluate_bpb(build(cfg, seed=28), docs, mode="sliding+strided")
+    assert sum(rows) == expected
 
 
 def test_eval_rejects_tiny_corpus():

@@ -339,6 +339,36 @@ def test_forward_shape_law():
         assert m.forward(ids).shape == (cfg.context_len, cfg.vocab_size)
 
 
+RANGE_VARIANTS = [
+    dict(),
+    dict(conv_encoder=True),
+    dict(cross_patch_window=2),
+    dict(conv_encoder=True, cross_patch_window=4),
+    dict(no_local=True),
+    dict(no_global=True),
+]
+
+
+@pytest.mark.parametrize("over", RANGE_VARIANTS)
+def test_forward_range_matches_full_forward(over):
+    # Patches k0.. and within-patch positions [0, stop) are the matching
+    # rows of the full forward; a GEMM over fewer rows may round differently.
+    cfg = toy_config(context_len=32, global_layers=2, local_layers=2, **over)
+    m = build(cfg, seed=29)
+    ids = np.random.default_rng(30).integers(0, cfg.vocab_size, size=(2, 32))
+    p, k, v = cfg.patch_size, cfg.num_patches, cfg.vocab_size
+    full = m.forward(ids).data.reshape(2, k, p, v)
+    for k0 in range(k):
+        for stop in range(1, p + 1):
+            got = m.forward(ids, k0=k0, stop=stop).data
+            assert got.shape == (2, (k - k0) * stop, v)
+            want = full[:, k0:, :stop].reshape(2, -1, v)
+            assert np.allclose(got, want, rtol=0, atol=1e-12), (over, k0, stop)
+    for bad in (dict(k0=k), dict(k0=-1), dict(stop=0), dict(stop=p + 1)):
+        with pytest.raises(ValueError, match="k0"):
+            m.forward(ids, **bad)
+
+
 def test_forward_eval_deterministic():
     cfg = toy_config(dropout=0.1)  # dropout configured but eval passes no rng
     m = build(cfg, seed=26)
