@@ -20,14 +20,8 @@ if _threads.isdigit() and int(_threads) > 0:
 from . import costmodel, data, inference, tensor, training  # noqa: E402
 from .checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
 from .config import ConfigError, load_config  # noqa: E402
-from .inference import EvalReport, GenTrace, bpb_to_word_ppl, evaluate_bpb, generate  # noqa: E402
-from .model import (  # noqa: E402
-    MegabyteDecoder,
-    ModelConfig,
-    Parameters,
-    prepare_global_input,
-    prepare_local_input,
-)
+from .inference import EvalReport, GenTrace, evaluate_bpb, generate  # noqa: E402
+from .model import MegabyteDecoder, ModelConfig, Parameters, prepare_local_input  # noqa: E402
 from .tensor import Tensor  # noqa: E402
 from .training import TrainConfig, init_weights, train  # noqa: E402
 
@@ -40,7 +34,6 @@ __all__ = [
     "Parameters",
     "Tensor",
     "TrainConfig",
-    "bpb_to_word_ppl",
     "costmodel",
     "data",
     "evaluate_bpb",
@@ -49,7 +42,6 @@ __all__ = [
     "init_weights",
     "load_checkpoint",
     "load_config",
-    "prepare_global_input",
     "prepare_local_input",
     "save_checkpoint",
     "tensor",

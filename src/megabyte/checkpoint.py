@@ -126,10 +126,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
         for dim in shape:
             n *= dim
         data = np.frombuffer(rd.take(n * dtype.itemsize), dtype=dtype).reshape(shape)
-        if name not in decay_by_name:
-            raise CheckpointError(f"unexpected tensor {name!r} for this config")
+        decay = decay_by_name.pop(name, None)  # popped, so a repeated name fails too
+        if decay is None:
+            raise CheckpointError(f"unexpected or repeated tensor {name!r} for this config")
         native = data.astype(np.float64 if code == 0 else np.float32)
-        params.add(name, Tensor(native), decay_by_name[name])
+        params.add(name, Tensor(native), decay)
     if rd.pos != len(blob):
         raise CheckpointError("trailing bytes after the last tensor")
     try:

@@ -109,7 +109,7 @@ def raster_unscan(data: bytes, height: int, width: int) -> ImageGrid:
 
 
 def _patch_side(patch_bytes: int) -> int:
-    if patch_bytes % 3 != 0:
+    if patch_bytes < 3 or patch_bytes % 3 != 0:
         raise ValueError("patch byte count must be 3 * square pixels")
     side = round((patch_bytes // 3) ** 0.5)
     if side * side * 3 != patch_bytes:

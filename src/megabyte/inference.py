@@ -142,20 +142,6 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
                       cost_multiplier=MODE_COST[mode])
 
 
-def bpb_to_word_ppl(bpb: float, total_bytes: int, total_words: int) -> float:
-    """Word-level perplexity 2^(bpb * bytes / words)."""
-    if total_bytes <= 0:
-        raise ValueError("total_bytes must be > 0")
-    if total_words <= 0:
-        raise ValueError("zero words")
-    return 2.0 ** (bpb * total_bytes / total_words)
-
-
-def count_words(data: bytes) -> int:
-    """Whitespace-delimited token count."""
-    return len(data.split())
-
-
 # -- incremental generation -------------------------------------------------
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-# Sentinel id in prepared inputs; embeds as the trainable pad vectors.
+# Sentinel id at position 0 of each `prepare_local_input` row. It is never
+# embedded: `_local_byte_embed` drops that column and adds `local_pad` there.
 PAD = -1
 
 FF_MULT = 4
@@ -84,10 +85,6 @@ class ModelConfig:
             raise ValueError("local_dim must divide evenly into heads")
         if self.cross_patch_active and (self.local_dim // self.local_heads) % 2 != 0:
             raise ValueError("cross-patch rotary positions need an even local head dim")
-
-    @property
-    def num_patches(self) -> int:
-        return self.context_len // self.patch_size
 
     # Flags on an absent path are inert; these are the effective switches.
     @property
@@ -183,14 +180,8 @@ class Parameters:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def __len__(self) -> int:
         return len(self._tensors)
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
 
     def items(self):
         return self._tensors.items()
@@ -235,22 +226,6 @@ def count_params(cfg: ModelConfig) -> dict[str, int]:
         else:
             counts["local"] += n
     return counts
-
-
-def prepare_global_input(ids: np.ndarray, patch_size: int) -> np.ndarray:
-    """Chunk (..., T) byte ids into (..., K, P) global patches.
-
-    Patch 0 is the PAD sentinel patch; patch k holds bytes [(k-1)P, kP).
-    The final P bytes never enter the global input.
-    """
-    ids = np.asarray(ids)
-    t = ids.shape[-1]
-    if t % patch_size != 0:
-        raise ValueError("sequence length must be a multiple of patch_size")
-    k = t // patch_size
-    patches = ids.reshape(ids.shape[:-1] + (k, patch_size))
-    pad = np.full(ids.shape[:-1] + (1, patch_size), PAD, dtype=ids.dtype)
-    return np.concatenate([pad, patches[..., :-1, :]], axis=-2)
 
 
 def prepare_local_input(ids: np.ndarray, patch_size: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Covers exactly the operations the decoder needs: broadcast arithmetic,
-matmul of rows by a 2-D matrix, softmax, layer norm, embedding lookup,
-causal convolution, and a fused causal attention with optional rotary
-positions. Arrays are float64 by default; float32 can be selected for
-speed builds via set_default_dtype (gradient tolerances are stated for
-float64).
+Covers exactly the operations the decoder needs. Tensor methods:
+broadcast arithmetic (+, -, *, / by a scalar), relu, reshape, transpose,
+slicing, sum and mean. Functions: matmul (rows by a 2-D matrix; also @),
+concat, broadcast_to, embedding (row lookup), gather_last,
+log_softmax_last, layer_norm, causal_conv1d, causal_attention (fused,
+with optional rotary positions) and dropout. Arrays are float64 by
+default; float32 can be selected for speed builds via set_default_dtype
+(gradient tolerances are stated for float64).
 
 A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread. After backward,
@@ -106,9 +108,6 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def _accum(self, g: np.ndarray) -> None:
         # A first gradient that owns its memory is adopted, not copied: no
         # backward closure keeps an array it hands over, or hands it twice.
@@ -118,9 +117,6 @@ class Tensor:
             self.grad = g
         else:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Populate the grads of every reachable leaf by reverse traversal.
@@ -359,20 +355,6 @@ def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
             gx = np.zeros_like(x.data)
             np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
             x._accum(gx)
-        out._backprop = _bp
-    return out
-
-
-def softmax_last(x: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction."""
-    x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = _result(y, (x,), "softmax_last")
-    if out._prev:
-        def _bp(g):
-            x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
         out._backprop = _bp
     return out
 

@@ -22,7 +22,7 @@ ADAM_EPS = 1e-8
 LN2 = math.log(2.0)
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(FloatingPointError):
     """Raised when the loss goes non-finite; carries the failing step."""
 
 

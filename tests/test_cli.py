@@ -170,6 +170,17 @@ def test_generate_over_length_exit2(workdir, capsys):
     assert rc == 2
 
 
+def test_generate_negative_length_exit2(tmp_path, capsys):
+    mc, tc = _toy_pair()
+    save_checkpoint(tmp_path / "m.ckpt", mc, tc, init_weights(mc, 0))
+    rc = main(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--length", "-1",
+               "--out", str(tmp_path / "x.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.bin").exists()
+
+
 @pytest.mark.parametrize("temp", ["nan", "inf"])
 def test_generate_non_finite_temperature_exit2(tmp_path, capsys, temp):
     mc, tc = _toy_pair()
@@ -277,6 +288,19 @@ def test_scan_bad_patch_size_exit2(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("inverse", [False, True], ids=["scan", "inverse"])
+@pytest.mark.parametrize("size", ["0", "-3", "-12"])
+def test_scan_nonpositive_patch_size_exit2(workdir, capsys, size, inverse):
+    _write_ppm(workdir / "img.ppm", 4, 4)
+    extra = ["--inverse", "--width", "4", "--height", "4"] if inverse else []
+    rc = main(["scan", "--ppm", str(workdir / "img.ppm"), "--mode", "patch",
+               "--patch-size", size, "--out", str(workdir / "out.bin"), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (workdir / "out.bin").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--ckpt", "{dir}", "--data", "{dir}/corpus.bin"],
     ["scan", "--ppm", "{dir}", "--mode", "raster", "--out", "{dir}/seq.bin"],
@@ -305,7 +329,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(path, mc, tc, params, window_stride=8)
     mc2, tc2, params2, stride = load_checkpoint(path)
     assert mc2 == mc and tc2 == tc and stride == 8
-    assert params2.names() == params.names()
+    assert [n for n, _ in params2.items()] == [n for n, _ in params.items()]
     for name, t in params.items():
         assert np.array_equal(params2[name].data, t.data)
         assert params2[name].data.dtype == t.data.dtype
@@ -354,7 +378,9 @@ def _first_name_offset(blob: bytes) -> int:
     lambda b: b.replace(b"vocab_size=19", b"vocab_size=1x"),
     lambda b: b.replace(b"vocab_size=19", b"vocab_size=18"),
     lambda b: b[:_first_name_offset(b)] + b"\xff" + b[_first_name_offset(b) + 1:],
-], ids=["config-not-utf8", "config-bad-value", "config-shape-mismatch", "name-not-utf8"])
+    lambda b: b.replace(b"global_pad", b"global_pos"),
+], ids=["config-not-utf8", "config-bad-value", "config-shape-mismatch", "name-not-utf8",
+        "name-repeated"])
 def test_checkpoint_corrupt_config_or_name(tmp_path, corrupt):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
@@ -373,7 +399,7 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
     before = path.read_bytes()
     params = init_weights(mc, 1)
-    name = params.names()[-1]
+    name, _ = list(params.items())[-1]
     params[name].data = params[name].data.astype(np.float16)  # no dtype code: the save fails partway
     with pytest.raises(CheckpointError, match=re.escape(f"{name!r} has unsupported dtype float16")):
         save_checkpoint(path, mc, tc, params)

@@ -11,8 +11,6 @@ from megabyte import tensor as T
 from megabyte.data import Document
 from megabyte.inference import (
     MODE_COST,
-    bpb_to_word_ppl,
-    count_words,
     evaluate_bpb,
     generate,
     strided_partition,
@@ -267,24 +265,6 @@ def test_sliding_keeps_later_halves():
     report = evaluate_bpb(m, docs, mode="sliding")
     assert int(report.per_position_count.sum()) == 40
     assert report.bpb == 8.0
-
-
-# -- word perplexity ------------------------------------------------------------------
-
-def test_word_ppl_formula():
-    assert bpb_to_word_ppl(1.0, 50, 10) == pytest.approx(32.0)
-    assert bpb_to_word_ppl(0.0, 100, 7) == 1.0
-    assert bpb_to_word_ppl(8.0, 10, 10) == pytest.approx(256.0)
-
-
-def test_word_ppl_rejects_zero_words():
-    with pytest.raises(ValueError, match="zero words"):
-        bpb_to_word_ppl(1.0, 10, 0)
-
-
-def test_count_words():
-    assert count_words(b"the quick  brown\nfox") == 4
-    assert count_words(b"") == 0
 
 
 # -- generation --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from megabyte.model import (
     ModelConfig,
     count_params,
     parameter_spec,
-    prepare_global_input,
     prepare_local_input,
 )
 from megabyte.training import init_weights, sequence_loss_bits
@@ -67,25 +66,7 @@ def ref_transformer_stack(x, params, scope, layers, heads):
 
 # -- input preparation ----------------------------------------------------------
 
-def test_prepare_global_shift():
-    ids = np.array([10, 20, 30, 40, 50, 60, 70, 80])
-    out = prepare_global_input(ids, 4)
-    assert np.array_equal(out, [[PAD] * 4, [10, 20, 30, 40]])
-
-
-def test_prepare_global_single_patch():
-    out = prepare_global_input(np.arange(4), 4)
-    assert np.array_equal(out, [[PAD] * 4])
-
-
-def test_prepare_global_three_patches():
-    out = prepare_global_input(np.arange(12), 4)
-    assert np.array_equal(out, [[PAD] * 4, [0, 1, 2, 3], [4, 5, 6, 7]])
-
-
 def test_prepare_rejects_nonmultiple():
-    with pytest.raises(ValueError):
-        prepare_global_input(np.arange(10), 4)
     with pytest.raises(ValueError):
         prepare_local_input(np.arange(10), 4)
 
@@ -130,18 +111,22 @@ def test_embed_global_zero_tables_give_zero_patches():
 
 
 def test_embed_global_one_hot_lookup():
-    cfg = toy_config()
+    cfg = toy_config(context_len=12)
     m = build(cfg, seed=3)
     rng = np.random.default_rng(4)
-    ids = rng.integers(0, cfg.vocab_size, size=8)
+    ids = rng.integers(0, cfg.vocab_size, size=12)
     out = m.embed_global(ids[None, :]).data[0]
+    assert out.shape == (3, 16)
     # Patch k>=1 slot p holds the embedding of byte t=(k-1)*P+p at position t.
-    for k in (1,):
+    for k in (1, 2):
         for p in range(4):
             t = (k - 1) * 4 + p
             expect = (m.params["global_embed"].data[ids[t]]
                       + m.params["global_pos"].data[t])
             assert np.allclose(out[k, p * 4:(p + 1) * 4], expect, atol=1e-15)
+    # The last P bytes never enter the global input.
+    ids[8:] = (ids[8:] + 1) % cfg.vocab_size
+    assert np.array_equal(m.embed_global(ids[None, :]).data[0], out)
 
 
 def test_embed_global_rejects_bad_byte():
@@ -159,7 +144,7 @@ def test_embed_global_patch_range_matches_whole_sequence(conv):
     m = build(cfg, seed=5)
     ids = np.random.default_rng(6).integers(0, cfg.vocab_size, size=(2, 64))
     whole = m.embed_global(ids).data
-    for k1 in range(1, cfg.num_patches + 1):
+    for k1 in range(1, cfg.context_len // 4 + 1):
         for k0 in range(k1):
             part = m.embed_global(ids[:, :(k1 - 1) * 4], k0, k1).data
             assert np.array_equal(part, whole[:, k0:k1]), (k0, k1)
@@ -257,7 +242,8 @@ def test_local_forward_logits_shape():
     for cfg in (toy_config(), toy_config(patch_size=1, local_heads=0),
                 toy_config(patch_size=8)):
         m = build(cfg)
-        h = np.zeros((1, cfg.num_patches, cfg.patch_size, cfg.local_dim))
+        k = cfg.context_len // cfg.patch_size
+        h = np.zeros((1, k, cfg.patch_size, cfg.local_dim))
         out = m.local_forward(T.Tensor(h))
         assert out.shape == (1, cfg.context_len, cfg.vocab_size)
 
@@ -335,7 +321,8 @@ def test_forward_shape_law():
         m = build(cfg)
         ids = np.zeros(cfg.context_len, dtype=np.int64)
         h_g = m.global_forward(m.embed_global(ids[None]))
-        assert h_g.shape == (1, cfg.num_patches, cfg.patch_size * cfg.global_dim)
+        k = cfg.context_len // cfg.patch_size
+        assert h_g.shape == (1, k, cfg.patch_size * cfg.global_dim)
         assert m.forward(ids).shape == (cfg.context_len, cfg.vocab_size)
 
 
@@ -356,7 +343,8 @@ def test_forward_range_matches_full_forward(over):
     cfg = toy_config(context_len=32, global_layers=2, local_layers=2, **over)
     m = build(cfg, seed=29)
     ids = np.random.default_rng(30).integers(0, cfg.vocab_size, size=(2, 32))
-    p, k, v = cfg.patch_size, cfg.num_patches, cfg.vocab_size
+    p, v = cfg.patch_size, cfg.vocab_size
+    k = cfg.context_len // p
     full = m.forward(ids).data.reshape(2, k, p, v)
     for k0 in range(k):
         for stop in range(1, p + 1):
