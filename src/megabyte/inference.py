@@ -67,6 +67,7 @@ def strided_partition(t: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return pos[from_a], pos[~from_a]
 
 
+@T.checked_once
 def _window_scores(model: MegabyteDecoder, ids: np.ndarray, strided: bool,
                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Teacher-forced log p(x_t | x_<t) at positions start.. of one window
@@ -97,6 +98,7 @@ def _window_scores(model: MegabyteDecoder, ids: np.ndarray, strided: bool,
             window = np.concatenate([ids[s:], np.zeros(s, dtype=ids.dtype)])
             rows = (f // p - k0) * stop + f % p
             logp[sel] = model.forward(window, k0=k0, stop=stop).data[rows, ids[pos[sel]]]
+    T._check_finite(logp, "scoring")
     return logp, frame % p
 
 
@@ -198,6 +200,7 @@ class _Decoder:
         return T.log_softmax_last(model.output_head(h[:, :, -1:])).data.reshape(-1)
 
 
+@T.checked_once
 def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
              temperature: float = 1.0, seed: int = 0) -> GenTrace:
     """Sample n_bytes autoregressively after the prompt.
@@ -208,6 +211,7 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
     global call, and the local model only on the patch it ends in (every
     prompt patch under cross-patch attention). Each decoded byte adds L_L
     modeled serial steps, plus L_G when it starts a patch; prefill adds none.
+    A non-finite decoded row reruns the call (same seed) to name the op.
     """
     cfg = model.config
     if n_bytes < 0:
@@ -215,7 +219,7 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
     if len(prompt) + n_bytes > cfg.context_len:
-        raise ValueError("prompt plus requested length exceeds the model context")
+        raise ValueError(f"prompt {len(prompt)} + length {n_bytes} > context {cfg.context_len}")
     rng = np.random.default_rng(seed)
     out: list[int] = []
     logprobs: list[float] = []
@@ -228,6 +232,7 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
         for _ in range(n_bytes):
             steps += len(dec.local_kv) + len(dec.global_kv) * (dec.pos % cfg.patch_size == 0)
             row = dec.advance(dec.pos + 1)
+            T._check_finite(row, "decoding")
             if temperature == 0.0:
                 byte = int(np.argmax(row))
             else:

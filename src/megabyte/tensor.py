@@ -13,16 +13,22 @@ A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread. After backward,
 only leaves (tensors built directly, not by an op) keep a .grad; each
 intermediate's gradient is freed once it has been passed to its inputs.
+
+Finiteness: a bare op raises FloatingPointError naming itself on inf or
+nan output. A training step, an eval window and a generate call skip that
+scan (`checked_once`), check what they return, and on a failure rerun with it on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 _DEFAULT_DTYPE = np.float64
 _GRAD_ENABLED = True
+_CHECK_OPS = True   # whether each op scans its output (off inside checked_once)
 
 # Running count of attention score evaluations (query-key pairs, including
 # masked ones), used to check the analytical attention-cost law.
@@ -68,6 +74,24 @@ class no_grad:
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.isfinite(data).all():
         raise FloatingPointError(f"non-finite values produced by {op}")
+
+
+def checked_once(fn):
+    """Decorate an entry point that raises FloatingPointError if what it
+    returns is non-finite: run it with the per-op scan off, and after that
+    error once more with the scan on, to name the op. fn must repeat exactly."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        global _CHECK_OPS
+        saved, _CHECK_OPS = _CHECK_OPS, False
+        try:
+            return fn(*args, **kwargs)
+        except FloatingPointError:
+            pass
+        finally:
+            _CHECK_OPS = saved
+        return fn(*args, **kwargs)
+    return run
 
 
 class Tensor:
@@ -267,7 +291,8 @@ def _tracked(t: Tensor) -> bool:
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
-    _check_finite(data, op)
+    if _CHECK_OPS:
+        _check_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(_tracked(p) for p in parents):
         out._prev = parents

@@ -23,7 +23,7 @@ LN2 = math.log(2.0)
 
 
 class TrainingDiverged(FloatingPointError):
-    """Raised when the loss goes non-finite; carries the failing step."""
+    """Raised on a non-finite loss or grad norm; carries the failing step."""
 
 
 @dataclass
@@ -162,6 +162,23 @@ def sequence_loss_bits(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray)
     return kept.sum() * (-1.0 / (LN2 * count))
 
 
+@T.checked_once
+def _step_gradients(model: MegabyteDecoder, inputs, mask, rng, rng_state) -> tuple[float, float]:
+    """Loss and global grad norm of one batch, from zero grads and dropout
+    state rng_state; FloatingPointError if either is non-finite."""
+    rng.bit_generator.state = rng_state
+    model.params.zero_grad()
+    loss = sequence_loss_bits(model.forward(inputs, rng=rng), inputs, mask)
+    loss_bits = loss.item()
+    if not math.isfinite(loss_bits):
+        raise FloatingPointError("non-finite loss")
+    loss.backward()
+    norm = grad_global_norm(model.params)
+    if not math.isfinite(norm):
+        raise FloatingPointError("non-finite gradient norm")
+    return loss_bits, norm
+
+
 @dataclass
 class StepRecord:
     step: int        # updates completed before this step's forward pass
@@ -177,7 +194,7 @@ def train(model: MegabyteDecoder, windows, cfg: TrainConfig,
 
     Each record holds the batch loss measured before that step's update,
     so record 0 is the untrained-model loss. Raises TrainingDiverged on a
-    non-finite loss.
+    non-finite loss or grad norm, before that step's update.
     """
     if not windows:
         raise ValueError("no training windows")
@@ -204,19 +221,12 @@ def train(model: MegabyteDecoder, windows, cfg: TrainConfig,
         inputs = np.stack([w.bytes for w in rows])
         mask = np.stack([w.mask for w in rows])
 
-        model.params.zero_grad()
         try:
-            log_probs = active.forward(inputs, rng=dropout_rng)
-            loss = sequence_loss_bits(log_probs, inputs, mask)
-            loss_bits = loss.item()
-            if not math.isfinite(loss_bits):
-                raise FloatingPointError("non-finite loss")
-            loss.backward()
-            del log_probs, loss   # free this update's graph before the next forward
+            loss_bits, norm = _step_gradients(active, inputs, mask, dropout_rng,
+                                              dropout_rng.bit_generator.state)
         except FloatingPointError as exc:
             raise TrainingDiverged(f"step {step}: {exc}") from exc
 
-        norm = grad_global_norm(params=model.params)
         clip_gradients(model.params, cfg.clip_norm)
         lr = lr_at(step + 1, cfg)
         adam_step(model.params, state, lr, cfg.weight_decay,

@@ -1,5 +1,6 @@
 """Shared oracles: central finite differences and independent reference
-implementations kept deliberately separate from the library code paths."""
+implementations kept deliberately separate from the library code paths;
+and the helpers the finiteness-check tests share."""
 
 from __future__ import annotations
 
@@ -158,3 +159,26 @@ def ref_causal_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
                 for b in range(c_out):
                     out[i, b] += x[src, a] * kernel[j, a, b]
     return out
+
+
+def overflow_local_ff(params):
+    """Scale the first local layer's feed-forward weights by 1e200, so that
+    its second matmul overflows on any input; returns params."""
+    for name in ("l0.ff.w1", "l0.ff.w2"):
+        params[name].data = params[name].data * 1e200
+    return params
+
+
+def count_scans(monkeypatch) -> list[str]:
+    """Record the op name of every finiteness scan from here on."""
+    from megabyte import tensor as T
+
+    calls = []
+    real = T._check_finite
+
+    def counting(data, op):
+        calls.append(op)
+        real(data, op)
+
+    monkeypatch.setattr(T, "_check_finite", counting)
+    return calls

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import overflow_local_ff
+
 from megabyte.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -178,6 +180,19 @@ def test_generate_negative_length_exit2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.bin").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_generate_overflow_exit3(tmp_path, capsys):
+    mc, tc = _toy_pair()
+    save_checkpoint(tmp_path / "m.ckpt", mc, tc, overflow_local_ff(init_weights(mc, 0)))
+    rc = main(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--length", "4",
+               "--out", str(tmp_path / "x.bin")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "numerical failure" in err and "produced by matmul" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x.bin").exists()
 
 

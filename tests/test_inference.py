@@ -2,10 +2,13 @@
 teacher-forced oracle, and the serial-step accounting."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+
+from conftest import count_scans, overflow_local_ff
 
 from megabyte import tensor as T
 from megabyte.data import Document
@@ -481,3 +484,55 @@ def test_cache_consistency_with_recompute_each_step():
         lp = m.forward(padded).data
         ids.append(int(np.argmax(lp[t])))
     assert list(trace.data) == ids
+
+
+def test_generate_over_length_names_sizes():
+    with pytest.raises(ValueError) as err:
+        generate(build(small_config()), b"0123456789", 9)
+    assert re.findall(r"\d+", str(err.value)) == ["10", "9", "16"]
+
+
+# -- finiteness checks -----------------------------------------------------------------
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_generate_scans_once_per_byte(monkeypatch, temperature):
+    m = build(small_config(context_len=64, global_layers=2, local_layers=2), seed=3)
+    calls = count_scans(monkeypatch)
+    generate(m, b"hello", 40, temperature=temperature, seed=1)
+    assert len(calls) <= 40 + 2
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_COST))
+def test_eval_scans_once_per_window(monkeypatch, mode):
+    m = build(small_config(global_layers=2, local_layers=2), seed=3)
+    forwards = []
+    real_forward = MegabyteDecoder.forward
+
+    def forward(self, *args, **kwargs):
+        forwards.append(1)
+        return real_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(MegabyteDecoder, "forward", forward)
+    calls = count_scans(monkeypatch)
+    evaluate_bpb(m, random_docs(70, seed=4, pieces=2), mode)
+    assert 0 < len(calls) <= len(forwards)
+    if mode == "basic":
+        assert len(calls) == len(forwards)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_generate_overflow_names_op(temperature):
+    cfg = small_config()
+    m = MegabyteDecoder(cfg, overflow_local_ff(init_weights(cfg, 0)))
+    with pytest.raises(FloatingPointError, match="produced by matmul"):
+        generate(m, b"ab", 6, temperature=temperature)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", sorted(MODE_COST))
+def test_eval_overflow_names_op(mode):
+    cfg = small_config()
+    m = MegabyteDecoder(cfg, overflow_local_ff(init_weights(cfg, 0)))
+    with pytest.raises(FloatingPointError, match="produced by matmul"):
+        evaluate_bpb(m, random_docs(40), mode)

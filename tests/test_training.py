@@ -8,6 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import count_scans, overflow_local_ff
+
 from megabyte.data import Document, make_windows
 from megabyte.model import MegabyteDecoder, ModelConfig, Parameters
 from megabyte.tensor import Tensor
@@ -267,6 +269,66 @@ def test_train_divergence_raises():
     tc = train_config(peak_lr=1e9, total_updates=30, warmup_updates=1, batch_size=1)
     with pytest.raises(TrainingDiverged):
         train(model, windows, tc)
+
+
+@pytest.mark.parametrize("bad_step", [0, 2])
+def test_train_nonfinite_grad_raises_before_update(monkeypatch, bad_step):
+    cfg = small_config(dropout=0.0)
+    model = MegabyteDecoder(cfg, init_weights(cfg, seed=2))
+    windows = make_windows([Document("d", bytes(range(32)))], cfg.context_len, cfg.context_len)
+    real_backward = Tensor.backward
+    calls = []
+
+    def backward(self):
+        real_backward(self)
+        if len(calls) >= bad_step:   # step bad_step and its replay
+            model.params["local_embed"].grad[3, 1] = np.inf
+        calls.append(1)
+
+    monkeypatch.setattr(Tensor, "backward", backward)
+    tc = train_config(total_updates=bad_step + 1, warmup_updates=1, batch_size=1)
+    with pytest.raises(TrainingDiverged, match=rf"step {bad_step}: non-finite gradient norm"):
+        train(model, windows, tc)
+    for name, t in model.params.items():
+        assert np.isfinite(t.data).all(), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_norm_overflow_raises_before_update():
+    # The loss and every gradient stay finite, but the tied head's huge
+    # logits give gradients whose sum of squares overflows to inf.
+    cfg = small_config(dropout=0.0)
+    model = MegabyteDecoder(cfg, init_weights(cfg, seed=2))
+    model.params["local_embed"].data = model.params["local_embed"].data * 1e200
+    windows = make_windows([Document("d", bytes(range(32)))], cfg.context_len, cfg.context_len)
+    with pytest.raises(TrainingDiverged, match="step 0: non-finite gradient norm"):
+        train(model, windows, train_config(total_updates=1, warmup_updates=1, batch_size=1))
+    for name, t in model.params.items():
+        assert np.isfinite(t.data).all(), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_train_forward_overflow_names_op(dropout):
+    cfg = small_config(dropout=dropout)
+    model = MegabyteDecoder(cfg, overflow_local_ff(init_weights(cfg, seed=2)))
+    windows = make_windows([Document("d", bytes(range(32)))], cfg.context_len, cfg.context_len)
+    with pytest.raises(TrainingDiverged, match="step 0: non-finite values produced by matmul"):
+        train(model, windows, train_config(total_updates=2, warmup_updates=1, batch_size=2))
+
+
+def test_train_step_scans_do_not_grow_with_depth(monkeypatch):
+    calls = count_scans(monkeypatch)
+    counts = []
+    for depth in (1, 3):
+        cfg = small_config(global_layers=depth, local_layers=depth)
+        model = MegabyteDecoder(cfg, init_weights(cfg, seed=2))
+        windows = make_windows([Document("d", bytes(range(32)))], cfg.context_len,
+                               cfg.context_len)
+        calls.clear()
+        train(model, windows, train_config(total_updates=3, warmup_updates=1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2 * 3
 
 
 @pytest.mark.parametrize("field,over", [
