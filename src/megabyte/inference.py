@@ -159,8 +159,9 @@ class _Decoder:
         self.ids = np.zeros((1, model.config.context_len), dtype=np.int64)
         self.ids[0, :len(prompt)] = np.frombuffer(prompt, dtype=np.uint8)
         self.pos = 0
-        self.global_kv = [KVCache() for _ in range(model._depth("g"))]
-        self.local_kv = [KVCache() for _ in range(model._depth("l"))]
+        p = model.config.patch_size
+        self.global_kv = [KVCache(model.config.context_len // p) for _ in range(model._depth("g"))]
+        self.local_kv = [KVCache(p) for _ in range(model._depth("l"))]
         self.slices: Tensor | None = None   # (1, 1, P, D_L) projected global output
 
     def advance(self, end: int) -> np.ndarray | None:

@@ -263,23 +263,35 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 class KVCache:
     """Key/value rows of one layer for incremental decode (head-split,
-    pre-rotary). `restart` begins a new patch and keeps the finished one in
-    `prev`, whose last rows are the next patch's cross-patch slots."""
+    pre-rotary), written in place into buffers of `capacity` rows.
+    `restart` begins a new patch in the second buffer and keeps the
+    finished one in `prev`, whose last rows are the next patch's
+    cross-patch slots; each buffer pair is allocated on first use."""
 
-    def __init__(self):
-        self.k: Tensor | None = None
-        self.v: Tensor | None = None
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.n = 0
+        self.buf = self.spare = None   # (k, v) arrays: the patch written, the one before
         self.prev: tuple[Tensor | None, Tensor | None] = (None, None)
 
+    def _rows(self) -> tuple[Tensor, Tensor]:
+        return Tensor(self.buf[0][..., :self.n, :]), Tensor(self.buf[1][..., :self.n, :])
+
     def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        if self.k is not None:
-            k, v = T.concat([self.k, k], axis=-2), T.concat([self.v, v], axis=-2)
-        self.k, self.v = k, v
-        return k, v
+        """Write k, v (..., t, dh) after the rows so far; views of all of them."""
+        if T._GRAD_ENABLED:
+            raise RuntimeError("KVCache writes in place and runs only under no_grad")
+        if self.buf is None:
+            shape = k.shape[:-2] + (self.capacity, k.shape[-1])
+            self.buf = (np.empty(shape, k.data.dtype), np.empty(shape, v.data.dtype))
+        n0, self.n = self.n, self.n + k.shape[-2]
+        self.buf[0][..., n0:self.n, :] = k.data
+        self.buf[1][..., n0:self.n, :] = v.data
+        return self._rows()
 
     def restart(self) -> None:
-        self.prev = (self.k, self.v)
-        self.k = self.v = None
+        self.prev = (None, None) if self.buf is None else self._rows()
+        self.buf, self.spare, self.n = self.spare, self.buf, 0
 
 
 def _cross_slots(x: Tensor, r: int, before: Tensor | None) -> Tensor:
@@ -357,7 +369,7 @@ class MegabyteDecoder:
         name = f"{scope}{i}"
         heads = cfg.global_heads if scope == "g" else cfg.local_heads
         a = self._ln(f"{name}.ln1", x)
-        q, k, v = (_split_heads(T.matmul(a, p[f"{name}.attn.w{c}"]) + p[f"{name}.attn.b{c}"], heads)
+        q, k, v = (_split_heads(T.matmul(a, p[f"{name}.attn.w{c}"], p[f"{name}.attn.b{c}"]), heads)
                    for c in "qkv")
         if cache is not None:
             k, v = cache.append(k, v)
@@ -367,10 +379,10 @@ class MegabyteDecoder:
             k = T.concat([_cross_slots(k, r, prev_k), k], axis=-2)
             v = T.concat([_cross_slots(v, r, prev_v), v], axis=-2)
         att = T.causal_attention(q, k, v, rotary=r > 0)
-        att = T.matmul(_merge_heads(att), p[f"{name}.attn.wo"]) + p[f"{name}.attn.bo"]
+        att = T.matmul(_merge_heads(att), p[f"{name}.attn.wo"], p[f"{name}.attn.bo"])
         x = x + T.dropout(att, cfg.dropout, rng)
-        h = (T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"]) + p[f"{name}.ff.b1"]).relu()
-        f = T.matmul(h, p[f"{name}.ff.w2"]) + p[f"{name}.ff.b2"]
+        h = T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"], p[f"{name}.ff.b1"]).relu()
+        f = T.matmul(h, p[f"{name}.ff.w2"], p[f"{name}.ff.b2"])
         return x + T.dropout(f, cfg.dropout, rng)
 
     def _depth(self, scope: str) -> int:

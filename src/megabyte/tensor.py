@@ -2,17 +2,22 @@
 
 Covers exactly the operations the decoder needs. Tensor methods:
 broadcast arithmetic (+, -, *, / by a scalar), relu, reshape, transpose,
-slicing, sum and mean. Functions: matmul (rows by a 2-D matrix; also @),
-concat, broadcast_to, embedding (row lookup), gather_last,
-log_softmax_last, layer_norm, causal_conv1d, causal_attention (fused,
-with optional rotary positions) and dropout. Arrays are float64 by
-default; float32 can be selected for speed builds via set_default_dtype
-(gradient tolerances are stated for float64).
+slicing, sum and mean. Functions: matmul (rows by a 2-D matrix, plus an
+optional (n,) bias added into the product as one node; also @), concat,
+broadcast_to, embedding (row lookup), gather_last, log_softmax_last,
+layer_norm, causal_conv1d, causal_attention (fused, with optional rotary
+positions) and dropout. Arrays are float64 by default; float32 can be
+selected for speed builds via set_default_dtype (gradient tolerances are
+stated for float64).
 
 A tensor is immutable after creation except for gradient accumulation,
-and one compute graph belongs to a single logical thread. After backward,
-only leaves (tensors built directly, not by an op) keep a .grad; each
-intermediate's gradient is freed once it has been passed to its inputs.
+and one compute graph belongs to a single logical thread. The exception
+is the decode key/value buffers of `model.KVCache`: they are written in
+place, only under no_grad, never into rows that an earlier view still in
+use covers (a new patch goes to the second buffer), and never into a
+recorded graph. After backward, only leaves (tensors built directly, not
+by an op) keep a .grad; each intermediate's gradient is freed once it has
+been passed to its inputs.
 
 Finiteness: a bare op raises FloatingPointError naming itself on inf or
 nan output. A training step, an eval window and a generate call skip that
@@ -309,19 +314,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Rows of a (..., k) times one 2-D matrix b (k, n); b's gradient is one GEMM."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Rows of a (..., k) times one 2-D matrix b (k, n), plus bias (n,) if
+    given, added into the product in place; b's and bias's gradients are
+    one flattened GEMM and one column sum."""
     a, b = _as_tensor(a), _as_tensor(b)
     if b.ndim != 2 or a.shape[-1:] != b.shape[:1]:
         raise ValueError(f"matmul needs (..., k) @ (k, n), got {a.shape} @ {b.shape}")
-    out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
+    k, n = b.shape
+    data = np.matmul(a.data, b.data)
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != (n,):
+            raise ValueError(f"matmul bias must be ({n},) for {a.shape} @ {b.shape}, got {bias.shape}")
+        data += bias.data
+    out = _result(data, (a, b) if bias is None else (a, b, bias), "matmul")
     if out._prev:
-        k, n = b.shape
         def _bp(g):
             if _tracked(a):
                 a._accum(g @ b.data.T)
+            g2 = g.reshape(-1, n)
             if _tracked(b):
-                b._accum(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+                b._accum(a.data.reshape(-1, k).T @ g2)
+            if bias is not None and _tracked(bias):
+                bias._accum(g2.sum(axis=0))
         out._backprop = _bp
     return out
 
@@ -398,15 +414,18 @@ def log_softmax_last(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-slice normalization over the last axis, then affine."""
+    """Per-slice normalization over the last axis, then affine. The slice
+    is centred once and that serves both the variance and xhat."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = _result(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
+    xhat *= inv
+    data = xhat * gain.data
+    data += bias.data
+    out = _result(data, (x, gain, bias), "layer_norm")
     if out._prev:
-        d = x.shape[-1]
         lead = tuple(range(x.ndim - 1))
         def _bp(g):
             if _tracked(gain):
@@ -414,10 +433,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             if _tracked(bias):
                 bias._accum(g.sum(axis=lead))
             if _tracked(x):
+                # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in place
                 gh = g * gain.data
-                gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                            - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-                x._accum(gx)
+                t = gh * xhat
+                m = np.add.reduce(t, axis=-1, keepdims=True) / d
+                np.multiply(xhat, m, out=t)
+                gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+                gh -= t
+                gh *= inv
+                x._accum(gh)
         out._backprop = _bp
     return out
 

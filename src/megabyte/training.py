@@ -100,12 +100,14 @@ def grad_global_norm(params: Parameters) -> float:
     return math.sqrt(total)
 
 
-def clip_gradients(params: Parameters, max_norm: float = 1.0) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
+def clip_gradients(params: Parameters, max_norm: float = 1.0, norm: float | None = None) -> float:
+    """Scale all gradients so their global L2 norm is at most max_norm;
+    norm is that L2 norm when the caller already has it.
 
     Returns the scale applied (1.0 when already under the limit).
     """
-    norm = grad_global_norm(params)
+    if norm is None:
+        norm = grad_global_norm(params)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
@@ -227,7 +229,7 @@ def train(model: MegabyteDecoder, windows, cfg: TrainConfig,
         except FloatingPointError as exc:
             raise TrainingDiverged(f"step {step}: {exc}") from exc
 
-        clip_gradients(model.params, cfg.clip_norm)
+        clip_gradients(model.params, cfg.clip_norm, norm)
         lr = lr_at(step + 1, cfg)
         adam_step(model.params, state, lr, cfg.weight_decay,
                   betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps)

@@ -19,7 +19,7 @@ from megabyte.inference import (
     strided_partition,
     _window_scores,
 )
-from megabyte.model import MegabyteDecoder, ModelConfig
+from megabyte.model import KVCache, MegabyteDecoder, ModelConfig
 from megabyte.tensor import Tensor
 from megabyte.training import init_weights
 
@@ -282,6 +282,8 @@ GEN_VARIANTS = [
     dict(no_global=True, cross_patch_window=2),
     # Past its first 12 + P bytes, decode embeds only a window for the conv.
     dict(conv_encoder=True, context_len=32),
+    # Every slot: a patch's slots are the whole patch before, in the other buffer.
+    dict(cross_patch_window=4),
 ]
 
 
@@ -490,6 +492,48 @@ def test_generate_over_length_names_sizes():
     with pytest.raises(ValueError) as err:
         generate(build(small_config()), b"0123456789", 9)
     assert re.findall(r"\d+", str(err.value)) == ["10", "9", "16"]
+
+
+def test_decode_op_budget(monkeypatch):
+    # Tensors built and concat calls per decoded byte, after the prefill
+    # that generate(prompt, 0) runs alone. Each affine map is one node, and
+    # the caches write in place: the one concat left is the pad row of a
+    # patch's first byte (1/P per byte). With concatenating cache appends
+    # and separate bias adds, these read 82 and 4.25.
+    counts = {"tensors": 0, "concat": 0}
+    real_init, real_concat = Tensor.__init__, T.concat
+
+    def init(self, *args, **kwargs):
+        counts["tensors"] += 1
+        real_init(self, *args, **kwargs)
+
+    def concat(*args, **kwargs):
+        counts["concat"] += 1
+        return real_concat(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", init)
+    monkeypatch.setattr(T, "concat", concat)
+    cfg = small_config(context_len=64, global_layers=2, local_layers=2)
+    m, n = build(cfg, seed=5), 48
+    generate(m, b"hello", 0)
+    prefill = dict(counts)
+    generate(m, b"hello", n, temperature=1.0, seed=2)
+    per_byte = {key: (counts[key] - 2 * prefill[key]) / n for key in counts}
+    assert per_byte["tensors"] <= 69
+    assert 0 < per_byte["concat"] <= 1 / cfg.patch_size
+
+
+def test_kv_cache_writes_only_under_no_grad():
+    cache = KVCache(4)
+    k = Tensor(np.ones((1, 2, 1, 3)))
+    with pytest.raises(RuntimeError, match="no_grad"):
+        cache.append(k, k)
+    with T.no_grad():
+        cache.append(k, k)
+        cache.restart()
+        rows, _ = cache.append(k * 2.0, k * 2.0)
+    assert np.array_equal(cache.prev[0].data, k.data)   # the other buffer
+    assert np.array_equal(rows.data, 2 * k.data)
 
 
 # -- finiteness checks -----------------------------------------------------------------

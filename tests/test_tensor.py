@@ -2,6 +2,7 @@
 differentiable op against central finite differences at 64-bit."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -79,6 +80,41 @@ def test_matmul_batched_broadcast_grad():
             return {"a": ta, "b": tb, "loss": (T.matmul(ta, tb) * w).sum()}
 
         _check_grads(build, {"a": a, "b": b}, tol=1e-6, floor=1e-6)
+
+
+def test_matmul_bias_equals_separate_add_bit_for_bit():
+    rng = np.random.default_rng(2)
+    a, b, bias = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 6)), rng.normal(size=6)
+    w = rng.normal(size=(2, 3, 4, 6))
+
+    def run(fused):
+        ts = [Tensor(arr, requires_grad=True) for arr in (a, b, bias)]
+        out = T.matmul(*ts) if fused else T.matmul(ts[0], ts[1]) + ts[2]
+        (out * Tensor(w)).sum().backward()
+        return [out.data] + [t.grad for t in ts]
+
+    for fused, separate in zip(run(True), run(False)):
+        assert np.array_equal(fused, separate)
+
+
+def test_matmul_bias_grad_matches_finite_differences():
+    rng = np.random.default_rng(3)
+    arrays = {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(4, 5)),
+              "bias": rng.normal(size=5)}
+    w = rng.normal(size=(2, 3, 5))
+
+    def build():
+        ts = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+        ts["loss"] = (T.matmul(ts["a"], ts["b"], ts["bias"]) * Tensor(w)).sum()
+        return ts
+
+    _check_grads(build, arrays, tol=1e-6, floor=1e-6)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 4), (4, 1), ()])
+def test_matmul_rejects_bias_of_wrong_shape(shape):
+    with pytest.raises(ValueError, match=re.escape("must be (4,)") + ".*" + re.escape(f"got {shape}")):
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(shape)))
 
 
 # -- softmax ------------------------------------------------------------------
@@ -257,6 +293,26 @@ def test_layer_norm_grads_finite_differences():
         return ts
 
     _check_grads(build, arrays, tol=1e-5)
+
+
+def test_layer_norm_matches_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(13)
+    x, gain, bias = rng.normal(size=(2, 3, 8)) * 3 + 1, rng.normal(size=8), rng.normal(size=8)
+    g = rng.normal(size=(2, 3, 8))
+    ts = [Tensor(arr, requires_grad=True) for arr in (x, gain, bias)]
+    out = T.layer_norm(*ts, eps=1e-5)
+    (out * Tensor(g)).sum().backward()
+
+    # Times the reciprocal, as the engine has always normalized: dividing
+    # by the root instead differs in the last bit.
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) * inv
+    assert np.array_equal(out.data, xhat * gain + bias)
+    gh = g * gain
+    gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+    for t, expected in zip(ts, (gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))):
+        assert np.array_equal(t.grad, expected)
 
 
 # -- causal conv -----------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import count_scans, overflow_local_ff
 
+from megabyte import training
 from megabyte.data import Document, make_windows
 from megabyte.model import MegabyteDecoder, ModelConfig, Parameters
 from megabyte.tensor import Tensor
@@ -234,6 +235,33 @@ def test_train_rerun_is_bit_identical():
     assert curve_a == curve_b
     for name in params_a:
         assert np.array_equal(params_a[name], params_b[name])
+
+
+def test_train_sums_gradient_squares_once_per_update(monkeypatch):
+    # clip_gradients reuses the norm the step already checked; a clip that
+    # recomputes it, as it does when called alone, gives the same run bit for bit.
+    cfg = small_config(dropout=0.1)
+    docs = [Document("d", bytes(np.arange(64, dtype=np.uint8) % 7))]
+    windows = make_windows(docs, cfg.context_len, cfg.context_len)
+    tc = train_config(total_updates=4, warmup_updates=2, batch_size=2, seed=9, clip_norm=0.05)
+    real_norm, real_clip = training.grad_global_norm, training.clip_gradients
+
+    def run():
+        model = MegabyteDecoder(cfg, init_weights(cfg, seed=9))
+        curve = train(model, windows, tc)
+        return [(r.loss_bits, r.grad_norm) for r in curve], model.params
+
+    norms = []
+    monkeypatch.setattr(training, "grad_global_norm", lambda p: norms.append(1) or real_norm(p))
+    curve, params = run()
+    assert len(norms) == tc.total_updates
+    assert all(norm > tc.clip_norm for _, norm in curve)   # every update clips
+    monkeypatch.setattr(training, "clip_gradients", lambda p, max_norm, norm: real_clip(p, max_norm))
+    recomputed_curve, recomputed = run()
+    assert len(norms) == 3 * tc.total_updates
+    assert curve == recomputed_curve
+    for name, t in params.items():
+        assert np.array_equal(t.data, recomputed[name].data), name
 
 
 def test_train_frees_each_update_graph_before_the_next_forward(monkeypatch):
