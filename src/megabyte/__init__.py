@@ -7,23 +7,13 @@ the training recipe, evaluation and generation modes, analytical compute
 cost models, and byte-level data handling.
 """
 
-import os as _os
-
-# MEGABYTE_THREADS bounds internal (BLAS) parallelism; it must land in the
-# environment before numpy loads, so it is applied at package import.
-_threads = _os.environ.get("MEGABYTE_THREADS", "")
-if _threads.isdigit() and int(_threads) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
-from . import costmodel, data, inference, tensor, training  # noqa: E402
-from .checkpoint import load_checkpoint, save_checkpoint  # noqa: E402
-from .config import ConfigError, load_config  # noqa: E402
-from .inference import EvalReport, GenTrace, evaluate_bpb, generate  # noqa: E402
-from .model import MegabyteDecoder, ModelConfig, Parameters, prepare_local_input  # noqa: E402
-from .tensor import Tensor  # noqa: E402
-from .training import TrainConfig, init_weights, train  # noqa: E402
+from . import costmodel, data, inference, tensor, training
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import ConfigError, load_config
+from .inference import EvalReport, GenTrace, evaluate_bpb, generate
+from .model import MegabyteDecoder, ModelConfig, Parameters, prepare_local_input
+from .tensor import Tensor
+from .training import TrainConfig, init_weights, train
 
 __all__ = [
     "ConfigError",

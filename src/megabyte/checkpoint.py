@@ -3,10 +3,12 @@
 Layout (all integers little-endian):
   magic "MBCP" | u32 version | u32 config length | config key=value text |
   u32 tensor count | per tensor: u16 name length, UTF-8 name, u8 rank,
-  u32 dims, u8 dtype code (0=f64, 1=f32), raw little-endian IEEE-754 data.
+  u32 dims, u8 dtype code, raw little-endian IEEE-754 data.
 
-Round trips are bit-exact, and the tensor name set must match the config's
-expected parameter inventory on load.
+Code 0 is float64, the only code written. Code 1 (float32), which older
+files carry, is still read and converted exactly to float64. Round trips
+are bit-exact, and the tensor name set must match the config's expected
+parameter inventory on load.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ MAGIC = b"MBCP"
 VERSION = 1
 
 _DTYPE_BY_CODE = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_CODE_BY_KIND = {"float64": 0, "float32": 1}
 
 
 class CheckpointError(ValueError):
@@ -52,12 +53,10 @@ def save_checkpoint(path, model_cfg: ModelConfig, train_cfg: TrainConfig,
                 fh.write(struct.pack("<B", t.data.ndim))
                 for dim in t.data.shape:
                     fh.write(struct.pack("<I", dim))
-                kind = t.data.dtype.name
-                if kind not in _CODE_BY_KIND:
-                    raise CheckpointError(f"parameter {name!r} has unsupported dtype {kind}")
-                code = _CODE_BY_KIND[kind]
-                fh.write(struct.pack("<B", code))
-                fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE_BY_CODE[code]).tobytes())
+                if t.data.dtype != np.float64:
+                    raise CheckpointError(f"parameter {name!r} has unsupported dtype {t.data.dtype}")
+                fh.write(struct.pack("<B", 0))
+                fh.write(np.ascontiguousarray(t.data, dtype=_DTYPE_BY_CODE[0]).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -129,8 +128,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
         decay = decay_by_name.pop(name, None)  # popped, so a repeated name fails too
         if decay is None:
             raise CheckpointError(f"unexpected or repeated tensor {name!r} for this config")
-        native = data.astype(np.float64 if code == 0 else np.float32)
-        params.add(name, Tensor(native), decay)
+        params.add(name, Tensor(data.astype(np.float64)), decay)
     if rd.pos != len(blob):
         raise CheckpointError("trailing bytes after the last tensor")
     try:

@@ -86,6 +86,8 @@ class ImageGrid:
         self.pixels = np.asarray(self.pixels, dtype=np.uint8)
         if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
             raise ValueError("image must be (h, w, 3)")
+        if min(self.pixels.shape[:2]) < 1:
+            raise ValueError("image height and width must be >= 1")
 
     @property
     def height(self) -> int:

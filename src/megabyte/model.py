@@ -28,7 +28,6 @@ from .tensor import Tensor
 PAD = -1
 
 FF_MULT = 4
-LN_EPS = 1e-5
 CONV_WIDTHS = (3, 5, 7)
 # Bytes back the conv stack reads: each causal conv of width w, w - 1.
 CONV_CONTEXT = sum(w - 1 for w in CONV_WIDTHS)
@@ -351,7 +350,7 @@ class MegabyteDecoder:
     # -- transformer stacks ----------------------------------------------
 
     def _ln(self, name: str, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"], LN_EPS)
+        return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
     def _layer(self, scope: str, i: int, x: Tensor, rng=None,
                cache: KVCache | None = None) -> Tensor:

@@ -1,14 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Covers exactly the operations the decoder needs. Tensor methods:
-broadcast arithmetic (+, -, *, / by a scalar), relu, reshape, transpose,
-slicing, sum and mean. Functions: matmul (rows by a 2-D matrix, plus an
-optional (n,) bias added into the product as one node; also @), concat,
-broadcast_to, embedding (row lookup), gather_last, log_softmax_last,
-layer_norm, causal_conv1d, causal_attention (fused, with optional rotary
-positions) and dropout. Arrays are float64 by default; float32 can be
-selected for speed builds via set_default_dtype (gradient tolerances are
-stated for float64).
+broadcast + and *, relu, reshape, transpose, slicing and sum. Functions:
+matmul (rows by a 2-D matrix, plus an optional (n,) bias added into the
+product as one node), concat, broadcast_to, embedding (row lookup),
+gather_last, log_softmax_last, layer_norm, causal_conv1d,
+causal_attention (fused, with optional rotary positions) and dropout.
+Every array is float64, the precision the gradient checks are stated for.
 
 A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread. The exception
@@ -31,24 +29,13 @@ import math
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float64
+LN_EPS = 1e-5      # added to the variance in layer_norm
 _GRAD_ENABLED = True
 _CHECK_OPS = True   # whether each op scans its output (off inside checked_once)
 
 # Running count of attention score evaluations (query-key pairs, including
 # masked ones), used to check the analytical attention-cost law.
 _ATTN_SCORE_OPS = 0
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def attention_score_ops() -> int:
@@ -105,10 +92,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backprop", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._prev: tuple[Tensor, ...] = ()
@@ -124,10 +108,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data.reshape(()))
@@ -214,26 +194,6 @@ class Tensor:
             out._backprop = _bp
         return out
 
-    def __neg__(self):
-        return self * (-1.0)
-
-    def __sub__(self, other):
-        return self + (-_as_tensor(other))
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __truediv__(self, c):
-        if isinstance(c, Tensor):
-            raise TypeError("tensor/tensor division is not an op this engine needs")
-        return self * (1.0 / c)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def relu(self) -> "Tensor":
         out = _result(np.maximum(self.data, 0.0), (self,), "relu")
         if out._prev:
@@ -282,13 +242,9 @@ class Tensor:
             out._backprop = _bp
         return out
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        n = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _tracked(t: Tensor) -> bool:
@@ -413,14 +369,14 @@ def log_softmax_last(x: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-slice normalization over the last axis, then affine. The slice
     is centred once and that serves both the variance and xhat."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
     var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
@@ -480,12 +436,12 @@ def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     return out
 
 
-def _rotation(positions: np.ndarray, d: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _rotation(positions: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     # Pairwise rotation angles for dims (0,1), (2,3), ... with base 10000.
     half = d // 2
     freqs = 10000.0 ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
     ang = positions[:, None].astype(np.float64) * freqs[None, :]
-    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
+    return np.cos(ang), np.sin(ang)
 
 
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, invert: bool = False) -> np.ndarray:
@@ -528,7 +484,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> T
     _ATTN_SCORE_OPS += lead * t_q * t_k
 
     if rotary:
-        cos_k, sin_k = _rotation(np.arange(t_k), d, q.data.dtype)
+        cos_k, sin_k = _rotation(np.arange(t_k), d)
         cos_q, sin_q = cos_k[q_start:], sin_k[q_start:]
         qr = _rotate(q.data, cos_q, sin_q)
         kr = _rotate(k.data, cos_k, sin_k)

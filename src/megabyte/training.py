@@ -62,9 +62,9 @@ def init_weights(cfg: ModelConfig, seed: int) -> Parameters:
         if init == "normal":
             data = _trunc_normal(rng, shape, INIT_STD, 2.0)
         elif init == "ones":
-            data = np.ones(shape, dtype=T.default_dtype())
+            data = np.ones(shape)
         else:
-            data = np.zeros(shape, dtype=T.default_dtype())
+            data = np.zeros(shape)
         params.add(name, Tensor(data), decay)
     return params
 
@@ -76,7 +76,7 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, bound_sigmas: flo
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > bound
-    return out.astype(T.default_dtype())
+    return out
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:

@@ -2,6 +2,7 @@
 round trips, and the key=value config contract."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from megabyte.checkpoint import (
 )
 from megabyte.cli import main
 from megabyte.config import ConfigError, config_to_text, load_config, parse_config_text
-from megabyte.model import ModelConfig
+from megabyte.model import MegabyteDecoder, ModelConfig
 from megabyte.training import TrainConfig, init_weights
 
 TOY_CONFIG = """\
@@ -316,6 +317,21 @@ def test_scan_nonpositive_patch_size_exit2(workdir, capsys, size, inverse):
     assert not (workdir / "out.bin").exists()
 
 
+@pytest.mark.parametrize("mode, dims", [("raster", ["--width", "0", "--height", "5"]),
+                                        ("patch", ["--patch-size", "12", "--width", "0",
+                                                   "--height", "0"])],
+                         ids=["raster", "patch"])
+def test_scan_inverse_rejects_an_empty_image(workdir, capsys, mode, dims):
+    # A PPM with a zero side is one `scan` itself refuses to read.
+    (workdir / "empty.bin").write_bytes(b"")
+    rc = main(["scan", "--ppm", str(workdir / "empty.bin"), "--mode", mode, "--inverse",
+               *dims, "--out", str(workdir / "out.ppm")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (workdir / "out.ppm").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--ckpt", "{dir}", "--data", "{dir}/corpus.bin"],
     ["scan", "--ppm", "{dir}", "--mode", "raster", "--out", "{dir}/seq.bin"],
@@ -420,6 +436,28 @@ def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
         save_checkpoint(path, mc, tc, params)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+def test_checkpoint_float32_tensors_load_as_float64(tmp_path):
+    # Hand-built in the layout of the checkpoint module docstring, with
+    # every tensor stored as dtype code 1 (float32), as older files are.
+    mc, tc = _toy_pair()
+    values = {name: t.data.astype(np.float32) for name, t in init_weights(mc, 3).items()}
+    text = config_to_text(mc, tc, 0).encode("utf-8")
+    blob = b"MBCP" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(values))
+    for name, arr in values.items():
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim)
+        blob += b"".join(struct.pack("<I", d) for d in arr.shape)
+        blob += struct.pack("<B", 1) + arr.astype("<f4").tobytes()
+    path = tmp_path / "f32.ckpt"
+    path.write_bytes(blob)
+    mc2, _, params, _ = load_checkpoint(path)
+    for name, arr in values.items():
+        assert params[name].data.dtype == np.float64
+        assert np.array_equal(params[name].data, arr)
+    ids = np.arange(mc.context_len) % mc.vocab_size
+    assert MegabyteDecoder(mc2, params).forward(ids).data.dtype == np.float64
 
 
 def test_checkpoint_surfaces_optimizer_constants(tmp_path):
