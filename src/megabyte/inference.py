@@ -3,11 +3,12 @@
 Evaluation reports bits per byte under four modes: basic (each window
 scored once), sliding (overlapping windows keep their later half), strided
 (two patch-offset passes, each position scored in the first half of a
-patch), and their combination. Every pass runs the global half on all of
-its window's patches but the local half, head and log-softmax only on the
-patches and within-patch positions it keeps; under cross-patch attention
-the local stack still runs on every row, since each patch's slots read the
-patch before. Generation decodes autoregressively with a
+patch), and their combination. Every global layer runs on every patch of a
+pass's window, but the last one computes queries only for the patches
+kept, and the local half, head and log-softmax run only on the patches and
+within-patch positions kept; under cross-patch attention every patch is
+kept through the global half and the local stack, since each patch's slots
+read the patch before. Generation decodes autoregressively with a
 per-patch global cache and a per-byte local cache, through the model's own
 input builders (`embed_global`, `combine_for_local`); a prompt's patches
 are all known, so they share one global call. `generate` counts the
@@ -78,9 +79,10 @@ def _window_scores(model: MegabyteDecoder, ids: np.ndarray, strided: bool,
     from a second pass over the window shifted left by P/2, where byte t
     sits at frame position t - P/2. Each pass asks `forward` for the
     smallest range of patches and within-patch positions that holds the
-    frame positions it scores, so the local half runs only on those rows
-    (on every row under cross-patch attention, whose slots read the
-    patch before).
+    frame positions it scores: every global layer runs on every patch,
+    but the last one computes queries only for the patches kept, and the
+    local half runs only on the rows kept (under cross-patch attention,
+    whose slots read the patch before, both run on every row).
     """
     p = model.config.patch_size
     pos = np.arange(start, len(ids))
@@ -171,11 +173,13 @@ class _Decoder:
         Every patch that starts in [pos, end) goes through one
         `embed_global` and one global call, since its input bytes are all
         known: a prompt costs one call, and a decoded byte that starts a
-        patch is the one-row case. The local stack runs only on rows a
-        later position or the returned row reads: those of the tail patch.
-        Under cross-patch attention each patch's slots are the local keys
-        and values of the patch before, so there it runs once on every
-        patch that [pos, end) touches.
+        patch is the one-row case. Every global layer caches the keys and
+        values of every new patch, but the last one computes queries only
+        for the patches read. The local stack runs only on rows a later
+        position or the returned row reads: those of the tail patch. Under
+        cross-patch attention each patch's slots are the local keys and
+        values of the patch before, so there it runs once on every patch
+        that [pos, end) touches, and reads each one's global output.
         """
         model, p = self.model, self.model.config.patch_size
         start = self.pos
@@ -183,14 +187,16 @@ class _Decoder:
             return None
         self.pos = end
         k0, k1 = -(-start // p), -(-end // p)
+        last = (end - 1) // p
+        first = start // p if model.config.cross_patch_active else last
+        kq = max(first, k0)   # the first new patch whose global output is read
         g = None
         if k1 > k0 and model.config.global_active:
             x = model.embed_global(self.ids[:, :(k1 - 1) * p], k0, k1)
-            g = model.project_global(model.global_forward(x, caches=self.global_kv))
-        last = (end - 1) // p
-        for k in range(start // p if model.config.cross_patch_active else last, last + 1):
-            if g is not None and k >= k0:
-                self.slices = g[:, k - k0:k - k0 + 1]
+            g = model.project_global(model.global_forward(x, caches=self.global_kv, k0=kq - k0))
+        for k in range(first, last + 1):
+            if g is not None and k >= kq:
+                self.slices = g[:, k - kq:k - kq + 1]
             r0, r1 = max(start - k * p, 0), min(end - k * p, p)
             if r0 == 0:
                 for cache in self.local_kv:

@@ -353,10 +353,12 @@ class MegabyteDecoder:
         return T.layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
     def _layer(self, scope: str, i: int, x: Tensor, rng=None,
-               cache: KVCache | None = None) -> Tensor:
+               cache: KVCache | None = None, k0: int = 0) -> Tensor:
         """Pre-norm layer i of the global (scope "g", rows are patches) or
         the local stack (scope "l", batched over (B, K) patches of rows).
 
+        Keys and values come from every row of x, but queries and all that
+        follows them only from rows k0.., which are all the layer returns.
         With a cache, x holds only new rows: their keys and values are
         appended to it and they attend over every cached row. With
         cross-patch attention, the last r key/value rows of the previous
@@ -367,9 +369,11 @@ class MegabyteDecoder:
         cfg, p = self.config, self.params
         name = f"{scope}{i}"
         heads = cfg.global_heads if scope == "g" else cfg.local_heads
-        a = self._ln(f"{name}.ln1", x)
-        q, k, v = (_split_heads(T.matmul(a, p[f"{name}.attn.w{c}"], p[f"{name}.attn.b{c}"]), heads)
-                   for c in "qkv")
+        a = aq = self._ln(f"{name}.ln1", x)
+        if k0 > 0:
+            x, aq = x[:, k0:], a[:, k0:]
+        q, k, v = (_split_heads(T.matmul(rows, p[f"{name}.attn.w{c}"], p[f"{name}.attn.b{c}"]), heads)
+                   for c, rows in (("q", aq), ("k", a), ("v", a)))
         if cache is not None:
             k, v = cache.append(k, v)
         r = cfg.cross_patch_window if scope == "l" and cfg.cross_patch_active else 0
@@ -393,19 +397,28 @@ class MegabyteDecoder:
         return cfg.local_layers if cfg.local_active else 0
 
     def _stack(self, scope: str, x: Tensor, rng=None,
-               caches: list[KVCache] | None = None) -> Tensor:
+               caches: list[KVCache] | None = None, k0: int = 0) -> Tensor:
         """Every layer of one half (one cache per layer, if given), then its
-        final norm; x itself when the half is off."""
+        final norm, on rows k0.. of the output; x[:, k0:] when the half is
+        off. Every layer but the last runs on every row, since later rows
+        attend to earlier ones; the last computes queries only for rows k0..
+        """
         n = self._depth(scope)
         for i in range(n):
-            x = self._layer(scope, i, x, rng, None if caches is None else caches[i])
-        return self._ln(f"{scope}.lnf", x) if n > 0 else x
+            x = self._layer(scope, i, x, rng, None if caches is None else caches[i],
+                            k0 if i == n - 1 else 0)
+        if n == 0:
+            return x[:, k0:] if k0 > 0 else x
+        return self._ln(f"{scope}.lnf", x)
 
     def global_forward(self, h_global_in: Tensor, rng=None,
-                       caches: list[KVCache] | None = None) -> Tensor:
-        """Pre-norm decoder stack, causal over the patch positions; with
-        caches, the rows are new patches after the cached ones."""
-        return self._stack("g", h_global_in, rng, caches)
+                       caches: list[KVCache] | None = None, k0: int = 0) -> Tensor:
+        """Pre-norm decoder stack, causal over the patch positions, returning
+        the output rows of patches k0.. only (default: all). Every layer
+        runs on every patch, but the last computes queries only for the
+        patches kept; with caches, the rows are new patches after the
+        cached ones, and all of their keys and values are cached."""
+        return self._stack("g", h_global_in, rng, caches, k0)
 
     def local_forward(self, h_local_in: Tensor, rng=None, k0: int = 0,
                       stop: int | None = None) -> Tensor:
@@ -464,12 +477,14 @@ class MegabyteDecoder:
 
         ids is (T,) or (B, T) with T a multiple of the patch size, at most
         the configured context length. rng enables dropout (training).
-        The global half runs on every patch, since later patches attend to
-        earlier ones. The local half is causal within a patch and, without
-        cross-patch attention, independent across patches, so it runs only
-        on the rows asked for. Cross-patch slots are the last r rows of the
-        patch before at every layer, so there the local stack runs on all
-        rows and the head and log-softmax only on those asked for.
+        Every global layer runs on every patch, since later patches attend
+        to earlier ones, but the last one computes queries (and all that
+        follows them) only for the patches kept. The local half is causal
+        within a patch and, without cross-patch attention, independent
+        across patches, so it runs only on the rows asked for. Cross-patch
+        slots are the last r rows of the patch before at every layer, so
+        there every patch is kept through the global half and the local
+        stack, and the head and log-softmax run only on the rows asked for.
         """
         cfg = self.config
         ids = np.asarray(ids)
@@ -490,8 +505,7 @@ class MegabyteDecoder:
             cut, k0, stop = (k0, stop), 0, None
         h = None
         if cfg.global_active:
-            h = self.global_forward(self.embed_global(ids), rng)
-            h = self.project_global(h[:, k0:] if k0 > 0 else h)
+            h = self.project_global(self.global_forward(self.embed_global(ids), rng, k0=k0))
             h = h if stop is None else h[:, :, :stop]
         h = self.combine_for_local(h, ids[:, k0 * p:], 0, stop)
         out = T.log_softmax_last(self.local_forward(h, rng, *cut))

@@ -13,7 +13,9 @@ and one compute graph belongs to a single logical thread. The exception
 is the decode key/value buffers of `model.KVCache`: they are written in
 place, only under no_grad, never into rows that an earlier view still in
 use covers (a new patch goes to the second buffer), and never into a
-recorded graph. After backward, only leaves (tensors built directly, not
+recorded graph. `causal_attention`'s softmax runs in place in its score
+buffer, but that buffer is written before any tensor holds it, so it is
+no exception. After backward, only leaves (tensors built directly, not
 by an op) keep a .grad; each intermediate's gradient is freed once it has
 been passed to its inputs.
 
@@ -34,7 +36,9 @@ _GRAD_ENABLED = True
 _CHECK_OPS = True   # whether each op scans its output (off inside checked_once)
 
 # Running count of attention score evaluations (query-key pairs, including
-# masked ones), used to check the analytical attention-cost law.
+# masked ones): lead * t_q * t_k per causal_attention call, where lead is
+# the product of the leading (batch, head) dims. Used to check the
+# analytical attention-cost law.
 _ATTN_SCORE_OPS = 0
 
 
@@ -377,6 +381,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
     var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
+    # An overflowed (inf) variance would make inv 0 and the output the bias;
+    # this makes it nan instead, and leaves a finite variance's inv exact.
+    inv += var * 0.0
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
@@ -464,8 +471,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> T
     depends only on the query-key offset and keys placed ahead of the
     first query are simply earlier positions.
 
-    Masked lanes underflow to exactly zero weight, so outputs are
-    bit-insensitive to future positions.
+    Masked lanes get exactly zero weight, so outputs are bit-insensitive
+    to future positions, even to a non-finite future key.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape or q.shape[-1] != k.shape[-1]:
@@ -491,13 +498,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> T
     else:
         qr, kr = q.data, k.data
 
+    # The softmax runs in place in the fresh score matrix. Masked lanes are
+    # overwritten, not added to: nan + -inf is nan, so an additive mask
+    # would let a non-finite future score through.
     scale = 1.0 / math.sqrt(d)
-    scores = np.matmul(qr, np.swapaxes(kr, -1, -2)) * scale
+    weights = np.matmul(qr, np.swapaxes(kr, -1, -2))
+    weights *= scale
     allowed = (q_start + np.arange(t_q))[:, None] >= np.arange(t_k)[None, :]
-    scores = np.where(allowed, scores, -np.inf)
-
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
+    np.copyto(weights, -np.inf, where=~allowed)
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
 
     out = _result(np.matmul(weights, v.data), (q, k, v), "causal_attention")

@@ -161,6 +161,31 @@ def test_eval_runs_local_half_on_scored_rows_only(monkeypatch, cross, expected):
     assert sum(rows) == expected
 
 
+def record_global_attention(monkeypatch):
+    """Record (t_q, t_k) of every global-stack attention call from here on:
+    global queries are (B, H, t, dh), local ones (B, K, H, t, dh)."""
+    calls = []
+    real = T.causal_attention
+
+    def recorded(q, k, v, rotary=False):
+        if q.ndim == 4:
+            calls.append((q.shape[-2], k.shape[-2]))
+        return real(q, k, v, rotary)
+
+    monkeypatch.setattr(T, "causal_attention", recorded)
+    return calls
+
+
+def test_eval_last_global_layer_queries_kept_patches_only(monkeypatch):
+    # T=32, P=4, two global layers, sliding. Window 0 keeps all 8 patches.
+    # Window 1 (offset 16, 24 bytes, K=6) keeps patches k0=4.. only: its
+    # first layer runs every patch, its last queries K - k0 = 2 of 6.
+    calls = record_global_attention(monkeypatch)
+    cfg = small_config(context_len=32, global_layers=2)
+    evaluate_bpb(build(cfg, seed=28), [Document("a", bytes(range(40)))], mode="sliding")
+    assert calls == [(8, 8), (8, 8), (6, 6), (2, 6)]
+
+
 def test_eval_rejects_tiny_corpus():
     cfg = small_config()
     with pytest.raises(ValueError, match="shorter than one patch"):
@@ -371,6 +396,17 @@ def test_cross_patch_prefill_runs_local_once_per_prompt_patch(monkeypatch):
     assert calls.count("l") == 4
 
 
+@pytest.mark.parametrize("cross, last", [(0, (1, 4)), (2, (4, 4))])
+def test_prefill_last_global_layer_queries_read_patches_only(monkeypatch, cross, last):
+    # A 14-byte prompt at P=4 is 4 patches in one global call. Only the
+    # tail patch's global output is read, except under cross-patch
+    # attention, whose local stack runs on every prompt patch.
+    calls = record_global_attention(monkeypatch)
+    cfg = small_config(context_len=32, global_layers=2, cross_patch_window=cross)
+    generate(build(cfg, seed=24), bytes(range(14)), 0)
+    assert calls == [(4, 4), last]
+
+
 def test_generation_serial_steps_after_a_prompt():
     # L_G = 4, L_L = 2, P = 4: prefill adds nothing; each generated byte
     # adds 2 and each patch it starts adds 4 more.
@@ -571,6 +607,20 @@ def test_generate_overflow_names_op(temperature):
     m = MegabyteDecoder(cfg, overflow_local_ff(init_weights(cfg, 0)))
     with pytest.raises(FloatingPointError, match="produced by matmul"):
         generate(m, b"ab", 6, temperature=temperature)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_layer_norm_variance_names_op():
+    # Local rows near 1e200 overflow the first local norm's variance; the
+    # norm must not answer with its bias, as if the rows were constant.
+    cfg = small_config()
+    m = build(cfg)
+    m.params["local_embed"].data = m.params["local_embed"].data * 1e200
+    ids = np.arange(cfg.context_len)
+    for run in (lambda: m.forward(ids), lambda: evaluate_bpb(m, random_docs(40)),
+                lambda: generate(m, b"ab", 6)):
+        with pytest.raises(FloatingPointError, match="produced by layer_norm"):
+            run()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -173,6 +173,20 @@ def test_global_forward_causal_over_patches():
         assert np.array_equal(out[0, :j], base[0, :j])
 
 
+@pytest.mark.parametrize("layers", [0, 1, 2])
+def test_global_forward_kept_rows_match_all_rows(layers):
+    # The last layer's queries on patches k0.. only: the matching rows of
+    # the whole output (a GEMM over fewer rows may round differently).
+    cfg = toy_config(context_len=16, global_layers=layers)
+    m = build(cfg, seed=6)
+    x = T.Tensor(np.random.default_rng(7).normal(size=(2, 4, 16)))
+    whole = m.global_forward(x).data
+    for k0 in range(4):
+        kept = m.global_forward(x, k0=k0).data
+        assert kept.shape == (2, 4 - k0, 16)
+        assert np.allclose(kept, whole[:, k0:], rtol=0, atol=1e-12), k0
+
+
 def test_global_forward_matches_reference_stack():
     cfg = toy_config(context_len=8, patch_size=4, global_dim=3, local_dim=4,
                      global_layers=1, global_heads=2)

@@ -198,6 +198,23 @@ def test_attention_future_value_bit_invisible():
             assert np.array_equal(out[:, :j, :], base[:, :j, :])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rotary", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_attention_non_finite_future_key_bit_invisible(monkeypatch, rotary, bad):
+    # A masked lane is overwritten, not added to: nan + -inf is nan, so an
+    # additive mask would spread a non-finite future score over its row.
+    monkeypatch.setattr(T, "_CHECK_OPS", False)   # the later rows are non-finite
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.normal(size=(2, 5, 4)) for _ in range(3))
+    base = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), rotary=rotary).data
+    for j in range(1, 5):
+        mod = k.copy()
+        mod[:, j, 1] = bad
+        out = T.causal_attention(Tensor(q), Tensor(mod), Tensor(v), rotary=rotary).data
+        assert np.array_equal(out[:, :j], base[:, :j]), j
+
+
 def test_attention_t2_matches_brute_force():
     rng = np.random.default_rng(7)
     q = rng.normal(size=(1, 2, 1))
@@ -320,6 +337,15 @@ def test_layer_norm_matches_textbook_formula_bit_for_bit():
                 - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
     for t, expected in zip(ts, (gx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1)))):
         assert np.array_equal(t.grad, expected)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_layer_norm_overflowed_variance_raises():
+    # The variance of a row near 1e200 overflows; the op must not return
+    # its bias for that row as if the row were constant.
+    x = np.array([[1.0, 2.0, 3.0], [1e200, -1e200, 0.0]])
+    with pytest.raises(FloatingPointError, match="layer_norm"):
+        T.layer_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
 # -- causal conv -----------------------------------------------------------------

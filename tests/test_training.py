@@ -323,11 +323,11 @@ def test_train_nonfinite_grad_raises_before_update(monkeypatch, bad_step):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_norm_overflow_raises_before_update():
-    # The loss and every gradient stay finite, but the tied head's huge
-    # logits give gradients whose sum of squares overflows to inf.
+    # The loss and every gradient stay finite, but the final local norm's
+    # huge gain gives gradients whose sum of squares overflows to inf.
     cfg = small_config(dropout=0.0)
     model = MegabyteDecoder(cfg, init_weights(cfg, seed=2))
-    model.params["local_embed"].data = model.params["local_embed"].data * 1e200
+    model.params["l.lnf.gain"].data = model.params["l.lnf.gain"].data * 1e200
     windows = make_windows([Document("d", bytes(range(32)))], cfg.context_len, cfg.context_len)
     with pytest.raises(TrainingDiverged, match="step 0: non-finite gradient norm"):
         train(model, windows, train_config(total_updates=1, warmup_updates=1, batch_size=1))
