@@ -152,8 +152,10 @@ def evaluate_bpb(model: MegabyteDecoder, docs: list[Document], mode: str = "basi
 class _Decoder:
     """Incremental state of one generation stream: the known bytes, a K/V
     cache per layer in use, the next position to run and the tail patch's
-    global conditioning. The inputs and the layer math are the model's own,
-    and the prompt and each decoded byte go through the same `advance`."""
+    global conditioning. Each local cache holds one patch, led by its r
+    cross-patch slots (`KVCache(P, lead=r)`). The inputs and the layer math
+    are the model's own, and the prompt and each decoded byte go through
+    the same `advance`."""
 
     def __init__(self, model: MegabyteDecoder, prompt: bytes):
         self.model = model
@@ -163,7 +165,8 @@ class _Decoder:
         self.pos = 0
         p = model.config.patch_size
         self.global_kv = [KVCache(model.config.context_len // p) for _ in range(model._depth("g"))]
-        self.local_kv = [KVCache(p) for _ in range(model._depth("l"))]
+        r = model.config.cross_patch_window if model.config.cross_patch_active else 0
+        self.local_kv = [KVCache(p, lead=r) for _ in range(model._depth("l"))]
         self.slices: Tensor | None = None   # (1, 1, P, D_L) projected global output
 
     def advance(self, end: int) -> np.ndarray | None:

@@ -242,67 +242,47 @@ def prepare_local_input(ids: np.ndarray, patch_size: int) -> np.ndarray:
     return np.concatenate([pad, patches[..., :-1]], axis=-1)
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # (..., t, dim) -> (..., heads, t, dim/heads)
-    *lead, t, dim = x.shape
-    y = x.reshape(*lead, t, heads, dim // heads)
-    axes = list(range(y.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    return y.transpose(tuple(axes))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    # (..., heads, t, dh) -> (..., t, heads*dh)
-    axes = list(range(x.ndim))
-    axes[-3], axes[-2] = axes[-2], axes[-3]
-    y = x.transpose(tuple(axes))
-    *lead, t, heads, dh = y.shape
-    return y.reshape(*lead, t, heads * dh)
-
-
 class KVCache:
-    """Key/value rows of one layer for incremental decode (head-split,
-    pre-rotary), written in place into buffers of `capacity` rows.
-    `restart` begins a new patch in the second buffer and keeps the
-    finished one in `prev`, whose last rows are the next patch's
-    cross-patch slots; each buffer pair is allocated on first use."""
+    """Key/value rows of one layer for incremental decode (pre-rotary, heads
+    side by side), written in place into one buffer pair of lead + capacity
+    rows. The first `lead` are the cross-patch slots: zeros before the first
+    patch, then the last `lead` rows written, copied there by `restart`."""
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.n = 0
-        self.buf = self.spare = None   # (k, v) arrays: the patch written, the one before
-        self.prev: tuple[Tensor | None, Tensor | None] = (None, None)
-
-    def _rows(self) -> tuple[Tensor, Tensor]:
-        return Tensor(self.buf[0][..., :self.n, :]), Tensor(self.buf[1][..., :self.n, :])
+    def __init__(self, capacity: int, lead: int = 0):
+        self.capacity, self.lead = capacity, lead
+        self.n = lead
+        self.buf = None   # (k, v) arrays
 
     def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Write k, v (..., t, dh) after the rows so far; views of all of them."""
+        """Write k, v (..., t, dim) after the rows so far; views of all of
+        them, slots first."""
         if T._GRAD_ENABLED:
             raise RuntimeError("KVCache writes in place and runs only under no_grad")
         if self.buf is None:
-            shape = k.shape[:-2] + (self.capacity, k.shape[-1])
-            self.buf = (np.empty(shape, k.data.dtype), np.empty(shape, v.data.dtype))
+            shape = k.shape[:-2] + (self.lead + self.capacity, k.shape[-1])
+            # Not np.zeros: calloc may clear, and so map, every row at once.
+            self.buf = (np.empty(shape), np.empty(shape))
+            for b in self.buf:
+                b[..., :self.lead, :] = 0.0
         n0, self.n = self.n, self.n + k.shape[-2]
         self.buf[0][..., n0:self.n, :] = k.data
         self.buf[1][..., n0:self.n, :] = v.data
-        return self._rows()
+        return Tensor(self.buf[0][..., :self.n, :]), Tensor(self.buf[1][..., :self.n, :])
 
     def restart(self) -> None:
-        self.prev = (None, None) if self.buf is None else self._rows()
-        self.buf, self.spare, self.n = self.spare, self.buf, 0
+        if self.buf is not None:
+            for b in self.buf:
+                b[..., :self.lead, :] = b[..., self.n - self.lead:self.n, :]
+        self.n = self.lead
 
 
-def _cross_slots(x: Tensor, r: int, before: Tensor | None) -> Tensor:
-    """Cross-patch slots for (B, K, H, t, dh) keys or values: each patch
-    gets the last r rows of the patch before it. The first patch takes them
-    from `before`, the patch decoded ahead of it, or zeros at the start."""
-    b, _, h, _, dh = x.shape
-    if before is None:
-        before = Tensor(np.zeros((b, 1, h, r, dh), dtype=x.data.dtype))
-    slots = before[..., -r:, :]
+def _cross_slots(x: Tensor, r: int) -> Tensor:
+    """Cross-patch slots for (B, K, t, dim) keys or values: each patch gets
+    the last r rows of the patch before it, and the first patch zeros."""
+    b, _, _, dim = x.shape
+    slots = Tensor(np.zeros((b, 1, r, dim)))
     if x.shape[1] > 1:
-        slots = T.concat([slots, x[:, :-1, :, -r:, :]], axis=1)
+        slots = T.concat([slots, x[:, :-1, -r:, :]], axis=1)
     return slots
 
 
@@ -358,12 +338,13 @@ class MegabyteDecoder:
         the local stack (scope "l", batched over (B, K) patches of rows).
 
         Keys and values come from every row of x, but queries and all that
-        follows them only from rows k0.., which are all the layer returns.
-        With a cache, x holds only new rows: their keys and values are
-        appended to it and they attend over every cached row. With
-        cross-patch attention, the last r key/value rows of the previous
-        patch at the same layer (zeros before the first) lead each local
-        patch's keys, and rotary positions make them its r nearest
+        follows them only from rows k0.., which are all the layer returns;
+        `causal_attention` splits their heads. With a cache, x holds only
+        new rows: their keys and values are appended to it and they attend
+        over every cached row. With cross-patch attention, the last r
+        key/value rows of the previous patch at the same layer (zeros before
+        the first) lead each local patch's keys, as a cache's `lead` rows or
+        concatenated here, and rotary positions make them its r nearest
         earlier positions.
         """
         cfg, p = self.config, self.params
@@ -372,17 +353,16 @@ class MegabyteDecoder:
         a = aq = self._ln(f"{name}.ln1", x)
         if k0 > 0:
             x, aq = x[:, k0:], a[:, k0:]
-        q, k, v = (_split_heads(T.matmul(rows, p[f"{name}.attn.w{c}"], p[f"{name}.attn.b{c}"]), heads)
+        q, k, v = (T.matmul(rows, p[f"{name}.attn.w{c}"], p[f"{name}.attn.b{c}"])
                    for c, rows in (("q", aq), ("k", a), ("v", a)))
+        r = cfg.cross_patch_window if scope == "l" and cfg.cross_patch_active else 0
         if cache is not None:
             k, v = cache.append(k, v)
-        r = cfg.cross_patch_window if scope == "l" and cfg.cross_patch_active else 0
-        if r > 0:
-            prev_k, prev_v = cache.prev if cache is not None else (None, None)
-            k = T.concat([_cross_slots(k, r, prev_k), k], axis=-2)
-            v = T.concat([_cross_slots(v, r, prev_v), v], axis=-2)
-        att = T.causal_attention(q, k, v, rotary=r > 0)
-        att = T.matmul(_merge_heads(att), p[f"{name}.attn.wo"], p[f"{name}.attn.bo"])
+        elif r > 0:
+            k = T.concat([_cross_slots(k, r), k], axis=-2)
+            v = T.concat([_cross_slots(v, r), v], axis=-2)
+        att = T.causal_attention(q, k, v, heads, rotary=r > 0)
+        att = T.matmul(att, p[f"{name}.attn.wo"], p[f"{name}.attn.bo"])
         x = x + T.dropout(att, cfg.dropout, rng)
         h = T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"], p[f"{name}.ff.b1"]).relu()
         f = T.matmul(h, p[f"{name}.ff.w2"], p[f"{name}.ff.b2"])

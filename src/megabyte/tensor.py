@@ -5,15 +5,16 @@ broadcast + and *, relu, reshape, transpose, slicing and sum. Functions:
 matmul (rows by a 2-D matrix, plus an optional (n,) bias added into the
 product as one node), concat, broadcast_to, embedding (row lookup),
 gather_last, log_softmax_last, layer_norm, causal_conv1d,
-causal_attention (fused, with optional rotary positions) and dropout.
+causal_attention (fused, on (..., t, heads * d) rows whose heads it
+splits as numpy views, with optional rotary positions) and dropout.
 Every array is float64, the precision the gradient checks are stated for.
 
 A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread. The exception
-is the decode key/value buffers of `model.KVCache`: they are written in
-place, only under no_grad, never into rows that an earlier view still in
-use covers (a new patch goes to the second buffer), and never into a
-recorded graph. `causal_attention`'s softmax runs in place in its score
+is the decode key/value buffers of `model.KVCache`: `append` and
+`restart`'s slot copy write them in place, only under no_grad, and never
+into a view still in use (each is read by one attention call, then
+dropped). `causal_attention`'s softmax runs in place in its score
 buffer, but that buffer is written before any tensor holds it, so it is
 no exception. After backward, only leaves (tensors built directly, not
 by an op) keep a .grad; each intermediate's gradient is freed once it has
@@ -37,7 +38,7 @@ _CHECK_OPS = True   # whether each op scans its output (off inside checked_once)
 
 # Running count of attention score evaluations (query-key pairs, including
 # masked ones): lead * t_q * t_k per causal_attention call, where lead is
-# the product of the leading (batch, head) dims. Used to check the
+# the product of the leading (batch) dims and the heads. Used to check the
 # analytical attention-cost law.
 _ATTN_SCORE_OPS = 0
 
@@ -461,11 +462,13 @@ def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, invert: bool = Fals
     return out
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> Tensor:
-    """Scaled dot-product attention under a causal mask.
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
+                     rotary: bool = False) -> Tensor:
+    """Scaled dot-product attention under a causal mask, per head.
 
-    q is (..., t_q, d); k and v are (..., t_k, d) and share leading dims
-    with q. The queries are the last t_q key positions: row i sits at
+    q is (..., t_q, dim); k and v are (..., t_k, dim) and share leading dims
+    with q. Each row holds `heads` heads of dim/heads side by side, as does
+    the output. The queries are the last t_q key positions: row i sits at
     position t_k - t_q + i and attends keys at positions <= its own. With
     rotary=True, q and k are rotated by those positions, so a score
     depends only on the query-key offset and keys placed ahead of the
@@ -478,25 +481,32 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> T
     if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
 
-    t_q, d = q.shape[-2], q.shape[-1]
+    t_q, dim = q.shape[-2], q.shape[-1]
     t_k = k.shape[-2]
     q_start = t_k - t_q
+    if heads < 1 or dim % heads != 0:
+        raise ValueError(f"attention dim {dim} does not split into {heads} heads")
+    d = dim // heads
     if rotary and d % 2 != 0:
         raise ValueError("rotary positions need an even head dim")
 
-    global _ATTN_SCORE_OPS
-    lead = 1
-    for s in q.shape[:-2]:
-        lead *= s
-    _ATTN_SCORE_OPS += lead * t_q * t_k
+    def split(x):   # (..., t, heads * d) -> a (..., heads, t, d) view
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, d)), -3, -2)
 
+    def merge(x):   # (..., heads, t, d) -> (..., t, heads * d)
+        return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], dim))
+
+    global _ATTN_SCORE_OPS
+    _ATTN_SCORE_OPS += math.prod(q.shape[:-2]) * heads * t_q * t_k
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     if rotary:
         cos_k, sin_k = _rotation(np.arange(t_k), d)
         cos_q, sin_q = cos_k[q_start:], sin_k[q_start:]
-        qr = _rotate(q.data, cos_q, sin_q)
-        kr = _rotate(k.data, cos_k, sin_k)
+        qr = _rotate(qh, cos_q, sin_q)
+        kr = _rotate(kh, cos_k, sin_k)
     else:
-        qr, kr = q.data, k.data
+        qr, kr = qh, kh
 
     # The softmax runs in place in the fresh score matrix. Masked lanes are
     # overwritten, not added to: nan + -inf is nan, so an additive mask
@@ -510,19 +520,20 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, rotary: bool = False) -> T
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
 
-    out = _result(np.matmul(weights, v.data), (q, k, v), "causal_attention")
+    out = _result(merge(np.matmul(weights, vh)), (q, k, v), "causal_attention")
     if out._prev:
         def _bp(g):
-            gw = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            g = split(g)
+            gw = np.matmul(g, np.swapaxes(vh, -1, -2))
             gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
             if _tracked(k):
                 gkr = np.matmul(np.swapaxes(gs, -1, -2), qr) * scale
-                k._accum(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr)
+                k._accum(merge(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr))
             if _tracked(v):
-                v._accum(np.matmul(np.swapaxes(weights, -1, -2), g))
+                v._accum(merge(np.matmul(np.swapaxes(weights, -1, -2), g)))
             if _tracked(q):
                 gqr = np.matmul(gs, kr) * scale
-                q._accum(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr)
+                q._accum(merge(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr))
         out._backprop = _bp
     return out
 

@@ -163,14 +163,14 @@ def test_eval_runs_local_half_on_scored_rows_only(monkeypatch, cross, expected):
 
 def record_global_attention(monkeypatch):
     """Record (t_q, t_k) of every global-stack attention call from here on:
-    global queries are (B, H, t, dh), local ones (B, K, H, t, dh)."""
+    global queries are (B, t, dim), local ones (B, K, t, dim)."""
     calls = []
     real = T.causal_attention
 
-    def recorded(q, k, v, rotary=False):
-        if q.ndim == 4:
+    def recorded(q, k, v, heads=1, rotary=False):
+        if q.ndim == 3:
             calls.append((q.shape[-2], k.shape[-2]))
-        return real(q, k, v, rotary)
+        return real(q, k, v, heads, rotary)
 
     monkeypatch.setattr(T, "causal_attention", recorded)
     return calls
@@ -307,7 +307,7 @@ GEN_VARIANTS = [
     dict(no_global=True, cross_patch_window=2),
     # Past its first 12 + P bytes, decode embeds only a window for the conv.
     dict(conv_encoder=True, context_len=32),
-    # Every slot: a patch's slots are the whole patch before, in the other buffer.
+    # Every slot: a patch's slots are the whole patch before (lead == capacity).
     dict(cross_patch_window=4),
 ]
 
@@ -530,12 +530,9 @@ def test_generate_over_length_names_sizes():
     assert re.findall(r"\d+", str(err.value)) == ["10", "9", "16"]
 
 
-def test_decode_op_budget(monkeypatch):
-    # Tensors built and concat calls per decoded byte, after the prefill
-    # that generate(prompt, 0) runs alone. Each affine map is one node, and
-    # the caches write in place: the one concat left is the pad row of a
-    # patch's first byte (1/P per byte). With concatenating cache appends
-    # and separate bias adds, these read 82 and 4.25.
+def decode_counts(monkeypatch, cfg, n=48):
+    """Tensors built and concat calls per decoded byte, after the prefill
+    that generate(prompt, 0) runs alone."""
     counts = {"tensors": 0, "concat": 0}
     real_init, real_concat = Tensor.__init__, T.concat
 
@@ -549,27 +546,64 @@ def test_decode_op_budget(monkeypatch):
 
     monkeypatch.setattr(Tensor, "__init__", init)
     monkeypatch.setattr(T, "concat", concat)
-    cfg = small_config(context_len=64, global_layers=2, local_layers=2)
-    m, n = build(cfg, seed=5), 48
+    m = build(cfg, seed=5)
     generate(m, b"hello", 0)
     prefill = dict(counts)
     generate(m, b"hello", n, temperature=1.0, seed=2)
-    per_byte = {key: (counts[key] - 2 * prefill[key]) / n for key in counts}
-    assert per_byte["tensors"] <= 69
+    return {key: (counts[key] - 2 * prefill[key]) / n for key in counts}
+
+
+def test_decode_op_budget(monkeypatch):
+    # Each affine map is one node, attention splits heads without nodes,
+    # and the caches write in place: the one concat left is the pad row of
+    # a patch's first byte (1/P per byte). With concatenating cache appends
+    # and separate bias adds, these read 82 and 4.25; with head split and
+    # merge nodes, 67.4 tensors.
+    cfg = small_config(context_len=64, global_layers=2, local_layers=2)
+    per_byte = decode_counts(monkeypatch, cfg)
+    assert per_byte["tensors"] <= 48
+    assert 0 < per_byte["concat"] <= 1 / cfg.patch_size
+
+
+def test_decode_op_budget_cross_patch(monkeypatch):
+    # The cross-patch slots are the local caches' leading rows, so r > 0
+    # costs no op per byte. Rebuilding them with two concats per local
+    # layer per byte read 75.4 tensors and 4.25 concats.
+    cfg = small_config(context_len=64, global_layers=2, local_layers=2, cross_patch_window=2)
+    per_byte = decode_counts(monkeypatch, cfg)
+    assert per_byte["tensors"] <= 48
     assert 0 < per_byte["concat"] <= 1 / cfg.patch_size
 
 
 def test_kv_cache_writes_only_under_no_grad():
     cache = KVCache(4)
-    k = Tensor(np.ones((1, 2, 1, 3)))
+    k = Tensor(np.ones((1, 2, 3)))
     with pytest.raises(RuntimeError, match="no_grad"):
         cache.append(k, k)
     with T.no_grad():
         cache.append(k, k)
         cache.restart()
         rows, _ = cache.append(k * 2.0, k * 2.0)
-    assert np.array_equal(cache.prev[0].data, k.data)   # the other buffer
     assert np.array_equal(rows.data, 2 * k.data)
+
+
+@pytest.mark.parametrize("lead", [2, 4])
+def test_kv_cache_lead_rows_are_cross_patch_slots(lead):
+    # KVCache(P, lead=r): the first r rows are zeros before the first patch,
+    # and after restart the last r rows of the patch before (r = P included).
+    cache = KVCache(4, lead=lead)
+    first = Tensor(np.arange(24.0).reshape(1, 4, 6))
+    with T.no_grad():
+        k, v = cache.append(first[:, :1], first[:, :1] * -1.0)
+        assert np.array_equal(k.data[:, :lead], np.zeros((1, lead, 6)))
+        assert np.array_equal(k.data[:, lead:], first.data[:, :1])
+        k, v = cache.append(first[:, 1:], first[:, 1:] * -1.0)
+        cache.restart()
+        k, v = cache.append(first[:, :1] + 100.0, first[:, :1])
+    assert np.array_equal(k.data[:, :lead], first.data[:, -lead:])
+    assert np.array_equal(v.data[:, :lead], -first.data[:, -lead:])
+    assert np.array_equal(k.data[:, lead:], first.data[:, :1] + 100.0)
+    assert k.shape == (1, lead + 1, 6)
 
 
 # -- finiteness checks -----------------------------------------------------------------

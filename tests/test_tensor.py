@@ -276,6 +276,46 @@ def test_attention_grads_finite_differences(rotary):
     _check_grads(build, arrays, tol=1e-4)
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("rotary", [False, True])
+@pytest.mark.parametrize("t_q, t_k", [(5, 5), (2, 5), (1, 5)])
+def test_attention_heads_match_per_head_calls(heads, rotary, t_q, t_k):
+    # Rows of H heads side by side give, bit for bit, the one-head calls on
+    # each head's columns, concatenated.
+    rng = np.random.default_rng(12)
+    d = 4
+    q = rng.normal(size=(2, 3, t_q, heads * d))
+    k, v = (rng.normal(size=(2, 3, t_k, heads * d)) for _ in range(2))
+    out = T.causal_attention(Tensor(q), Tensor(k), Tensor(v), heads, rotary=rotary).data
+    per_head = [T.causal_attention(*(Tensor(x[..., h * d:(h + 1) * d]) for x in (q, k, v)),
+                                   rotary=rotary).data for h in range(heads)]
+    assert np.array_equal(out, np.concatenate(per_head, axis=-1))
+
+
+@pytest.mark.parametrize("rotary", [False, True])
+def test_attention_heads_grads_finite_differences(rotary):
+    rng = np.random.default_rng(13)
+    arrays = {"q": rng.normal(size=(2, 3, 8)),
+              "k": rng.normal(size=(2, 5, 8)),
+              "v": rng.normal(size=(2, 5, 8))}
+    w = rng.normal(size=(2, 3, 8))
+
+    def build():
+        ts = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+        out = T.causal_attention(ts["q"], ts["k"], ts["v"], heads=2, rotary=rotary)
+        ts["loss"] = (out * Tensor(w)).sum()
+        return ts
+
+    _check_grads(build, arrays, tol=1e-4)
+
+
+@pytest.mark.parametrize("heads", [0, 4])
+def test_attention_heads_must_divide_dim(heads):
+    x = Tensor(np.zeros((1, 3, 6)))
+    with pytest.raises(ValueError, match="heads"):
+        T.causal_attention(x, x, x, heads)
+
+
 def test_attention_score_counter():
     T.reset_attention_score_ops()
     rng = np.random.default_rng(11)
@@ -286,6 +326,15 @@ def test_attention_score_counter():
     kv = Tensor(np.concatenate([ek, q], -2))
     T.causal_attention(Tensor(q), kv, kv)
     assert T.attention_score_ops() == 3 * 4 * 4 + 3 * 4 * (4 + 2)
+    T.reset_attention_score_ops()
+
+
+def test_attention_score_counter_counts_heads():
+    # Each head scores its own query-key pairs: lead * heads * t_q * t_k.
+    T.reset_attention_score_ops()
+    x = Tensor(np.random.default_rng(14).normal(size=(3, 4, 8)))
+    T.causal_attention(x[:, 1:], x, x, heads=2)
+    assert T.attention_score_ops() == 3 * 2 * 3 * 4
     T.reset_attention_score_ops()
 
 
