@@ -7,8 +7,8 @@ Layout (all integers little-endian):
 
 Code 0 is float64, the only code written. Code 1 (float32), which older
 files carry, is still read and converted exactly to float64. Round trips
-are bit-exact, and the tensor name set must match the config's expected
-parameter inventory on load.
+are bit-exact. On load, the tensor name set must match the config's
+expected parameter inventory, and every value must be finite.
 """
 
 from __future__ import annotations
@@ -128,6 +128,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
         decay = decay_by_name.pop(name, None)  # popped, so a repeated name fails too
         if decay is None:
             raise CheckpointError(f"unexpected or repeated tensor {name!r} for this config")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"tensor {name!r} holds inf or NaN values")
         params.add(name, Tensor(data.astype(np.float64)), decay)
     if rd.pos != len(blob):
         raise CheckpointError("trailing bytes after the last tensor")

@@ -2,10 +2,17 @@
 
 One diffable text block covers every model and training field. Unknown
 keys are errors, parsing is order-independent, and the same text embeds in
-checkpoints so a saved model is self-describing.
+checkpoints so a saved model is self-describing. The keys are the fields
+of `ModelConfig`, then `TrainConfig`, with their types and defaults; a field
+with no default is a required key. Only `context_len` is renamed (key
+`context_length`), one `dropout` key feeds both configs, and `window_stride`
+(0 = context length) has no field: only data preparation reads it.
 """
 
 from __future__ import annotations
+
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 from .model import ModelConfig
 from .training import TrainConfig
@@ -15,40 +22,18 @@ class ConfigError(ValueError):
     pass
 
 
-_REQUIRED = object()
+_KEY_BY_FIELD = {"context_len": "context_length"}
 
-# key -> (type, default, target dataclass field)
-MODEL_KEYS: dict[str, tuple[type, object, str]] = {
-    "vocab_size": (int, 256, "vocab_size"),
-    "context_length": (int, _REQUIRED, "context_len"),
-    "patch_size": (int, _REQUIRED, "patch_size"),
-    "global_dim": (int, _REQUIRED, "global_dim"),
-    "local_dim": (int, _REQUIRED, "local_dim"),
-    "global_layers": (int, _REQUIRED, "global_layers"),
-    "local_layers": (int, _REQUIRED, "local_layers"),
-    "global_heads": (int, 0, "global_heads"),
-    "local_heads": (int, 0, "local_heads"),
-    "cross_patch_window": (int, 0, "cross_patch_window"),
-    "conv_encoder": (bool, False, "conv_encoder"),
-    "no_local": (bool, False, "no_local"),
-    "no_global": (bool, False, "no_global"),
-    "dropout": (float, 0.1, "dropout"),
-}
 
-TRAIN_KEYS: dict[str, tuple[type, object, str]] = {
-    "peak_lr": (float, _REQUIRED, "peak_lr"),
-    "total_updates": (int, _REQUIRED, "total_updates"),
-    "batch_size": (int, _REQUIRED, "batch_size"),
-    "warmup_updates": (int, 500, "warmup_updates"),
-    "end_lr": (float, 0.0, "end_lr"),
-    "clip_norm": (float, 1.0, "clip_norm"),
-    "weight_decay": (float, 0.1, "weight_decay"),
-    "seed": (int, 0, "seed"),
-    "adam_beta1": (float, 0.9, "adam_beta1"),
-    "adam_beta2": (float, 0.98, "adam_beta2"),
-    "adam_eps": (float, 1e-8, "adam_eps"),
-    "window_stride": (int, 0, None),  # 0 = context_length; data prep only
-}
+def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object, str]]:
+    """key -> (type, default or MISSING, field) for each field of `cls`."""
+    hints = get_type_hints(cls)
+    return {_KEY_BY_FIELD.get(f.name, f.name): (hints[f.name], f.default, f.name)
+            for f in fields(cls) if f.name not in skip}
+
+
+MODEL_KEYS = _keys(ModelConfig)
+TRAIN_KEYS = {**_keys(TrainConfig, skip=("dropout",)), "window_stride": (int, 0, None)}
 
 
 def _parse_value(key: str, typ: type, raw: str):
@@ -85,13 +70,10 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, known[key][0], raw)
     missing = [k for k, (_, default, _) in known.items()
-               if default is _REQUIRED and k not in values]
+               if default is MISSING and k not in values]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-    for k, (_, default, _) in known.items():
-        if k not in values:
-            values[k] = default
-    return values
+    return {k: values.get(k, default) for k, (_, default, _) in known.items()}
 
 
 def configs_from_values(values: dict[str, object]) -> tuple[ModelConfig, TrainConfig, int]:
@@ -125,20 +107,16 @@ def load_config(path) -> tuple[ModelConfig, TrainConfig, int]:
 
 def config_to_text(model_cfg: ModelConfig, train_cfg: TrainConfig,
                    window_stride: int = 0) -> str:
-    """Serialize both configs to the key=value form, in registry order.
+    """Serialize both configs to the key=value form, in field order.
 
     The shared dropout key takes the training-time rate (the value that
     governs when the two configs were built apart and disagree).
     """
     lines = []
-    for key, (typ, _, field) in MODEL_KEYS.items():
-        val = train_cfg.dropout if key == "dropout" else getattr(model_cfg, field)
+    for key, (typ, _, field) in {**MODEL_KEYS, **TRAIN_KEYS}.items():
+        owner = train_cfg if key in TRAIN_KEYS or key == "dropout" else model_cfg
+        val = window_stride if field is None else getattr(owner, field)
         lines.append(f"{key}={_format(typ, val)}")
-    for key, (typ, _, field) in TRAIN_KEYS.items():
-        if field is None:
-            lines.append(f"{key}={window_stride}")
-        else:
-            lines.append(f"{key}={_format(typ, getattr(train_cfg, field))}")
     return "\n".join(lines) + "\n"
 
 

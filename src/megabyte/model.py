@@ -49,8 +49,8 @@ class ModelConfig:
     patch_size: int
     global_dim: int
     local_dim: int
-    global_layers: int = 1
-    local_layers: int = 1
+    global_layers: int
+    local_layers: int
     vocab_size: int = 256
     global_heads: int = 0  # 0 = auto
     local_heads: int = 0

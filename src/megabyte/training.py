@@ -28,6 +28,11 @@ class TrainingDiverged(FloatingPointError):
 
 @dataclass
 class TrainConfig:
+    """Optimizer and schedule settings. Update counts, rates, clip_norm,
+    weight_decay and dropout must be finite and >= 0, warmup_updates <=
+    total_updates, batch_size >= 1, each Adam beta in [0, 1) and adam_eps
+    finite and > 0, so NaN and inf are rejected."""
+
     peak_lr: float
     total_updates: int
     batch_size: int
@@ -45,8 +50,13 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("total_updates", "warmup_updates", "peak_lr", "end_lr", "clip_norm",
                      "weight_decay", "dropout"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be finite and > 0")
         if self.warmup_updates > self.total_updates:
             raise ValueError("warmup_updates must be <= total_updates")
         if self.batch_size < 1:

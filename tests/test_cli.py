@@ -15,7 +15,13 @@ from megabyte.checkpoint import (
     save_checkpoint,
 )
 from megabyte.cli import main
-from megabyte.config import ConfigError, config_to_text, load_config, parse_config_text
+from megabyte.config import (
+    ConfigError,
+    config_to_text,
+    configs_from_values,
+    load_config,
+    parse_config_text,
+)
 from megabyte.model import MegabyteDecoder, ModelConfig
 from megabyte.training import TrainConfig, init_weights
 
@@ -99,6 +105,24 @@ def test_train_negative_count_exit2(workdir, capsys, field, edits):
     assert not (workdir / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("peak_lr", "nan"), ("clip_norm", "nan"), ("clip_norm", "inf"), ("weight_decay", "nan"),
+    ("adam_beta1", "1.0"), ("adam_eps", "0"),
+])
+def test_train_unusable_value_exit2(workdir, capsys, key, value):
+    # Each of these once trained to NaN weights (or, for weight_decay=nan,
+    # silently without decay) and exited 0.
+    text = re.sub(rf"^{key} = .*\n", "", TOY_CONFIG, flags=re.M) + f"{key} = {value}\n"
+    with pytest.raises(ConfigError, match=key):
+        configs_from_values(parse_config_text(text))
+    (workdir / "run.cfg").write_text(text)
+    assert _train(workdir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (workdir / "model.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit3(workdir, capsys):
     (workdir / "run.cfg").write_text(TOY_CONFIG.replace("peak_lr = 0.01", "peak_lr = 1e9")
                                      .replace("total_updates = 3", "total_updates = 40"))
@@ -424,6 +448,20 @@ def test_checkpoint_corrupt_config_or_name(tmp_path, corrupt):
         load_checkpoint(path)
 
 
+def test_checkpoint_non_finite_tensor_eval_exit2(workdir, capsys):
+    mc, tc = _toy_pair()
+    params = init_weights(mc, 0)
+    params["gl_proj"].data[1, 2] = np.nan
+    path = workdir / "m.ckpt"
+    save_checkpoint(path, mc, tc, params)
+    with pytest.raises(CheckpointError, match="'gl_proj' holds inf or NaN"):
+        load_checkpoint(path)
+    rc = main(["eval", "--ckpt", str(path), "--data", str(workdir / "corpus.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "gl_proj" in err and "Traceback" not in err
+
+
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
@@ -478,6 +516,58 @@ def test_config_round_trip():
     from megabyte.config import configs_from_values
     mc2, tc2, stride = configs_from_values(values)
     assert mc2 == mc and tc2 == tc and stride == 4
+
+
+# `config_to_text(*_toy_pair(), 4)` as written before keys followed field
+# order: vocab_size came first.
+VOCAB_FIRST_TEXT = """\
+vocab_size=19
+context_length=8
+patch_size=4
+global_dim=3
+local_dim=4
+global_layers=1
+local_layers=1
+global_heads=1
+local_heads=1
+cross_patch_window=2
+conv_encoder=true
+no_local=false
+no_global=false
+dropout=0.05
+peak_lr=0.5
+total_updates=10
+batch_size=3
+warmup_updates=4
+end_lr=0.0
+clip_norm=1.0
+weight_decay=0.2
+seed=11
+adam_beta1=0.9
+adam_beta2=0.98
+adam_eps=1e-08
+window_stride=4
+"""
+
+
+def test_config_in_vocab_first_order_still_loads(tmp_path):
+    mc, tc = _toy_pair()
+    text = config_to_text(mc, tc, window_stride=4)
+    assert text.splitlines()[6] == "vocab_size=19"
+    assert sorted(text.splitlines()) == sorted(VOCAB_FIRST_TEXT.splitlines())
+    old = configs_from_values(parse_config_text(VOCAB_FIRST_TEXT))
+    assert old == configs_from_values(parse_config_text(text)) == (mc, tc, 4)
+
+    params = init_weights(mc, 0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, mc, tc, params, window_stride=4)
+    blob = path.read_bytes()
+    assert blob.count(text.encode()) == 1
+    path.write_bytes(blob.replace(text.encode(), VOCAB_FIRST_TEXT.encode()))
+    mc2, tc2, params2, stride = load_checkpoint(path)
+    assert (mc2, tc2, stride) == (mc, tc, 4)
+    for name, t in params.items():
+        assert np.array_equal(params2[name].data, t.data)
 
 
 def test_config_rejects_duplicates_and_garbage():

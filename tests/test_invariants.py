@@ -1,6 +1,8 @@
 """Invariants over seeded random configs: cached greedy decode equals
-teacher forcing, and every `forward(k0, stop)` range equals the matching
-rows of the full forward.
+teacher forcing, every `forward(k0, stop)` range equals the matching rows
+of the full forward, every `global_forward(h, k0=k)` equals the matching
+rows of the full global stack, and (where P and T are even) every
+`evaluate_bpb` mode equals the padded-window oracle of `test_inference`.
 
 Each case draws patch size, patch count, depths, dims, explicit head
 counts (from the divisors of each half's width), conv, the cross-patch
@@ -10,7 +12,10 @@ hand-picked variant lists rarely reach are covered too."""
 import numpy as np
 import pytest
 
-from megabyte.inference import generate
+from test_inference import padded_window_bpb
+
+from megabyte.data import Document
+from megabyte.inference import MODE_COST, evaluate_bpb, generate
 from megabyte.model import MegabyteDecoder, ModelConfig
 from megabyte.training import init_weights
 
@@ -70,3 +75,17 @@ def test_random_config_invariants(case):
             got = m.forward(full, k0=k0, stop=stop).data
             want = whole[k0:, :stop].reshape(-1, v)
             assert np.allclose(got, want, rtol=0, atol=1e-12), (cfg, k0, stop)
+
+    if cfg.global_active:
+        h = m.embed_global(full[None])
+        stack = m.global_forward(h).data
+        for k0 in range(k):
+            got = m.global_forward(h, k0=k0).data
+            assert np.allclose(got, stack[:, k0:], rtol=0, atol=1e-12), (cfg, k0)
+
+    if p % 2 == 0 and t % 2 == 0:
+        n = int(rng.integers(p, 3 * t + 1))
+        docs = [Document("d", bytes(rng.integers(0, 256, size=n, dtype=np.uint8)))]
+        for mode in MODE_COST:
+            got = evaluate_bpb(m, docs, mode).bpb
+            assert abs(got - padded_window_bpb(m, docs, mode)) <= 1e-12, (cfg, n, mode)

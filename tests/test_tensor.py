@@ -616,6 +616,7 @@ def test_slice_grad_scatters():
 
 # -- misc guarantees ---------------------------------------------------------------
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_forward_raises():
     with pytest.raises(FloatingPointError):
         Tensor(np.array([1e308])) * Tensor(np.array([1e308]))
@@ -683,7 +684,7 @@ def test_every_engine_function_is_reached_by_the_decoder():
     try:
         for over in variants:
             cfg = ModelConfig(context_len=16, patch_size=4, global_dim=4, local_dim=8,
-                              dropout=0.1, **over)
+                              global_layers=1, local_layers=1, dropout=0.1, **over)
             model = MegabyteDecoder(cfg, init_weights(cfg, 0))
             train(model, make_windows(docs, 16), TrainConfig(peak_lr=1e-3, total_updates=1,
                                                              batch_size=2, warmup_updates=0))

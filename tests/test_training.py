@@ -289,6 +289,7 @@ def test_train_frees_each_update_graph_before_the_next_forward(monkeypatch):
     assert alive == [0, 0, 0, 0]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_raises():
     cfg = small_config(dropout=0.0)
     model = MegabyteDecoder(cfg, init_weights(cfg, seed=2))
