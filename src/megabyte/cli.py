@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -75,7 +76,7 @@ def _cmd_train(args) -> int:
 
     model_cfg, train_cfg, stride = load_config(args.config)
     if args.seed is not None:
-        train_cfg.seed = args.seed
+        train_cfg = replace(train_cfg, seed=args.seed)
     docs = load_corpus(args.data)
     windows = make_windows(docs, model_cfg.context_len,
                            stride or model_cfg.context_len)

@@ -91,8 +91,8 @@ def configs_from_values(values: dict[str, object]) -> tuple[ModelConfig, TrainCo
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     stride = int(values["window_stride"])
-    if stride < 0:
-        raise ConfigError("window_stride must be >= 0")
+    if not 0 <= stride <= model_cfg.context_len:
+        raise ConfigError(f"window_stride must be in [0, context_length={model_cfg.context_len}]")
     return model_cfg, train_cfg, stride
 
 

@@ -65,7 +65,9 @@ def flops_per_token(spec: ArchSpec) -> Fraction:
 
 
 def attention_ops(t: int, p: int | None = None, masked: bool = False) -> Fraction:
-    """Attention score evaluations for a length-t sequence.
+    """Attention score evaluations for a length-t sequence: query-key pairs
+    over sequence positions. Heads split each score's width and do not
+    multiply the pairs.
 
     p=None is the dense transformer (t^2); otherwise the patch decoder's
     (t/p)^2 + t*p. Counts are the unmasked upper bound; masked=True halves

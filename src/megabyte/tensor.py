@@ -36,22 +36,6 @@ LN_EPS = 1e-5      # added to the variance in layer_norm
 _GRAD_ENABLED = True
 _CHECK_OPS = True   # whether each op scans its output (off inside checked_once)
 
-# Running count of attention score evaluations (query-key pairs, including
-# masked ones): lead * t_q * t_k per causal_attention call, where lead is
-# the product of the leading (batch) dims and the heads. Used to check the
-# analytical attention-cost law.
-_ATTN_SCORE_OPS = 0
-
-
-def attention_score_ops() -> int:
-    """Number of query-key score evaluations since the last reset."""
-    return _ATTN_SCORE_OPS
-
-
-def reset_attention_score_ops() -> None:
-    global _ATTN_SCORE_OPS
-    _ATTN_SCORE_OPS = 0
-
 
 class no_grad:
     """Context manager that disables graph recording (eval / generation)."""
@@ -495,9 +479,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
 
     def merge(x):   # (..., heads, t, d) -> (..., t, heads * d)
         return np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], dim))
-
-    global _ATTN_SCORE_OPS
-    _ATTN_SCORE_OPS += math.prod(q.shape[:-2]) * heads * t_q * t_k
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     if rotary:

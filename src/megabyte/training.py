@@ -29,7 +29,7 @@ class TrainingDiverged(FloatingPointError):
 @dataclass
 class TrainConfig:
     """Optimizer and schedule settings. Update counts, rates, clip_norm,
-    weight_decay and dropout must be finite and >= 0, warmup_updates <=
+    weight_decay, dropout and seed must be finite and >= 0, warmup_updates <=
     total_updates, batch_size >= 1, each Adam beta in [0, 1) and adam_eps
     finite and > 0, so NaN and inf are rejected."""
 
@@ -49,7 +49,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("total_updates", "warmup_updates", "peak_lr", "end_lr", "clip_norm",
-                     "weight_decay", "dropout"):
+                     "weight_decay", "dropout", "seed"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
         for name in ("adam_beta1", "adam_beta2"):

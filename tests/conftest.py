@@ -1,8 +1,12 @@
 """Shared oracles: central finite differences and independent reference
 implementations kept deliberately separate from the library code paths;
-and the helpers the finiteness-check tests share."""
+the helpers the finiteness-check tests share; and a recorder of the
+shapes attention runs on, from which the cost law's work is counted."""
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,4 +185,34 @@ def count_scans(monkeypatch) -> list[str]:
         real(data, op)
 
     monkeypatch.setattr(T, "_check_finite", counting)
+    return calls
+
+
+class AttentionCall(NamedTuple):
+    """The shapes of one `causal_attention` call: the queries' leading dims
+    (global (B,), local (B, K)), the head count, and query and key rows."""
+    lead: tuple[int, ...]
+    heads: int
+    t_q: int
+    t_k: int
+
+    @property
+    def pairs(self) -> int:
+        """Query-key pairs over sequence positions, masked ones included;
+        heads split the width and do not multiply them."""
+        return math.prod(self.lead) * self.t_q * self.t_k
+
+
+def record_attention(monkeypatch) -> list[AttentionCall]:
+    """Record every `causal_attention` call from here on."""
+    from megabyte import tensor as T
+
+    calls = []
+    real = T.causal_attention
+
+    def recorded(q, k, v, heads=1, rotary=False):
+        calls.append(AttentionCall(q.shape[:-2], heads, q.shape[-2], k.shape[-2]))
+        return real(q, k, v, heads, rotary)
+
+    monkeypatch.setattr(T, "causal_attention", recorded)
     return calls

@@ -12,9 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import max_rel_err, prepare_generic_point
+from conftest import max_rel_err, prepare_generic_point, record_attention
 
-from megabyte import tensor as T
 from megabyte.cli import main as cli_main
 from megabyte.costmodel import ArchSpec, attention_ops, flops_per_token, serial_steps
 from megabyte.data import Document, ImageGrid, make_windows, parse_ppm, patch_scan, \
@@ -219,24 +218,24 @@ def test_criterion_05_cost_model_reproduction():
 
 # -- 6. attention-count law -----------------------------------------------------------------
 
-def test_criterion_06_attention_count_law():
+def test_criterion_06_attention_count_law(monkeypatch):
+    calls = record_attention(monkeypatch)
     for t, p in ((16, 4), (32, 4), (32, 8)):
         cfg = ModelConfig(context_len=t, patch_size=p, global_dim=4, local_dim=4,
                           global_layers=1, local_layers=1, vocab_size=7,
                           global_heads=1, local_heads=1, dropout=0.0)
         model = MegabyteDecoder(cfg, init_weights(cfg, seed=0))
-        T.reset_attention_score_ops()
+        calls.clear()
         model.forward(np.zeros(t, dtype=np.int64))
-        counted = T.attention_score_ops()
+        counted = sum(c.pairs for c in calls)
         assert counted == attention_ops(t, p) == (t // p) ** 2 + t * p, (t, p)
-    T.reset_attention_score_ops()
 
     rng = np.random.default_rng(5)
     for _ in range(50):
         t = int(rng.integers(3, 100_000))
         p = int(rng.integers(2, t))
         assert attention_ops(t, p) < Fraction(t) * t
-    _report(6, "instrumented counter equals (T/P)^2 + T*P for (16,4),(32,4),(32,8); "
+    _report(6, "recorded query-key pairs equal (T/P)^2 + T*P for (16,4),(32,4),(32,8); "
                "50 random pairs below T^2")
 
 

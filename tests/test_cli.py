@@ -122,6 +122,21 @@ def test_train_unusable_value_exit2(workdir, capsys, key, value):
     assert not (workdir / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("edit,extra,key", [
+    ("seed = -1", (), "seed"),
+    ("seed = 7", ("--seed", "-1"), "seed"),
+    ("seed = 7\nwindow_stride = 1000", (), "window_stride"),
+], ids=["seed_key", "seed_flag", "window_stride"])
+def test_train_bad_seed_or_stride_exit2(workdir, capsys, edit, extra, key):
+    # Each once exited 2 with a numpy or make_windows message that did not
+    # name the key.
+    (workdir / "run.cfg").write_text(TOY_CONFIG.replace("seed = 7", edit))
+    assert _train(workdir, extra=extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (workdir / "model.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit3(workdir, capsys):
     (workdir / "run.cfg").write_text(TOY_CONFIG.replace("peak_lr = 0.01", "peak_lr = 1e9")

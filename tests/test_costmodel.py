@@ -1,12 +1,13 @@
 """Analytical cost formulas: hand-arithmetic oracles in exact rationals,
-the instrumented attention counter, and the sweep CSV."""
+the attention pairs recorded from a forward, and the sweep CSV."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from megabyte import tensor as T
+from conftest import record_attention
+
 from megabyte.costmodel import (
     ArchSpec,
     attention_ops,
@@ -112,16 +113,20 @@ def test_attention_ops_below_dense_for_nontrivial_p():
         assert attention_ops(t, p) < attention_ops(t), (t, p)
 
 
-def test_instrumented_forward_matches_formula():
+@pytest.mark.parametrize("heads", [1, 2, 0])   # 0 = auto
+def test_instrumented_forward_matches_formula(monkeypatch, heads):
+    # The law counts query-key pairs over positions: heads split the width
+    # of each pair's score, so the count is the same at any head count.
+    calls = record_attention(monkeypatch)
     for t, p in ((16, 4), (32, 4), (32, 8)):
         cfg = ModelConfig(context_len=t, patch_size=p, global_dim=4, local_dim=4,
                           global_layers=1, local_layers=1, vocab_size=7,
-                          global_heads=1, local_heads=1, dropout=0.0)
+                          global_heads=heads, local_heads=heads, dropout=0.0)
         m = MegabyteDecoder(cfg, init_weights(cfg, 0))
-        T.reset_attention_score_ops()
+        calls.clear()
         m.forward(np.zeros(t, dtype=np.int64))
-        assert T.attention_score_ops() == attention_ops(t, p), (t, p)
-    T.reset_attention_score_ops()
+        assert {c.heads for c in calls} == {cfg.global_heads, cfg.local_heads}
+        assert sum(c.pairs for c in calls) == attention_ops(t, p), (t, p)
 
 
 # -- optimal patch ---------------------------------------------------------------------

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import count_scans, overflow_local_ff
+from conftest import count_scans, overflow_local_ff, record_attention
 
 from megabyte import tensor as T
 from megabyte.data import Document
@@ -161,29 +161,20 @@ def test_eval_runs_local_half_on_scored_rows_only(monkeypatch, cross, expected):
     assert sum(rows) == expected
 
 
-def record_global_attention(monkeypatch):
-    """Record (t_q, t_k) of every global-stack attention call from here on:
-    global queries are (B, t, dim), local ones (B, K, t, dim)."""
-    calls = []
-    real = T.causal_attention
-
-    def recorded(q, k, v, heads=1, rotary=False):
-        if q.ndim == 3:
-            calls.append((q.shape[-2], k.shape[-2]))
-        return real(q, k, v, heads, rotary)
-
-    monkeypatch.setattr(T, "causal_attention", recorded)
-    return calls
+def global_attention(calls):
+    """(t_q, t_k) of each recorded global-stack call: global queries have
+    one leading dim (B,), local ones two (B, K)."""
+    return [(c.t_q, c.t_k) for c in calls if len(c.lead) == 1]
 
 
 def test_eval_last_global_layer_queries_kept_patches_only(monkeypatch):
     # T=32, P=4, two global layers, sliding. Window 0 keeps all 8 patches.
     # Window 1 (offset 16, 24 bytes, K=6) keeps patches k0=4.. only: its
     # first layer runs every patch, its last queries K - k0 = 2 of 6.
-    calls = record_global_attention(monkeypatch)
+    calls = record_attention(monkeypatch)
     cfg = small_config(context_len=32, global_layers=2)
     evaluate_bpb(build(cfg, seed=28), [Document("a", bytes(range(40)))], mode="sliding")
-    assert calls == [(8, 8), (8, 8), (6, 6), (2, 6)]
+    assert global_attention(calls) == [(8, 8), (8, 8), (6, 6), (2, 6)]
 
 
 def test_eval_rejects_tiny_corpus():
@@ -401,10 +392,10 @@ def test_prefill_last_global_layer_queries_read_patches_only(monkeypatch, cross,
     # A 14-byte prompt at P=4 is 4 patches in one global call. Only the
     # tail patch's global output is read, except under cross-patch
     # attention, whose local stack runs on every prompt patch.
-    calls = record_global_attention(monkeypatch)
+    calls = record_attention(monkeypatch)
     cfg = small_config(context_len=32, global_layers=2, cross_patch_window=cross)
     generate(build(cfg, seed=24), bytes(range(14)), 0)
-    assert calls == [(4, 4), last]
+    assert global_attention(calls) == [(4, 4), last]
 
 
 def test_generation_serial_steps_after_a_prompt():

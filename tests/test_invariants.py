@@ -1,25 +1,32 @@
 """Invariants over seeded random configs: cached greedy decode equals
 teacher forcing, every `forward(k0, stop)` range equals the matching rows
 of the full forward, every `global_forward(h, k0=k)` equals the matching
-rows of the full global stack, and (where P and T are even) every
-`evaluate_bpb` mode equals the padded-window oracle of `test_inference`.
+rows of the full global stack, (where P and T are even) every
+`evaluate_bpb` mode equals the padded-window oracle of `test_inference`,
+and, on every SCAN_EVERY-th case, each `checked_once` entry point returns
+the same bits with the per-op finiteness scan off, as it runs, and on.
 
 Each case draws patch size, patch count, depths, dims, explicit head
 counts (from the divisors of each half's width), conv, the cross-patch
 window and the ablations, so the multi-head and slot paths that the
 hand-picked variant lists rarely reach are covered too."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import count_scans
 from test_inference import padded_window_bpb
 
 from megabyte.data import Document
-from megabyte.inference import MODE_COST, evaluate_bpb, generate
+from megabyte.inference import MODE_COST, _window_scores, evaluate_bpb, generate
 from megabyte.model import MegabyteDecoder, ModelConfig
-from megabyte.training import init_weights
+from megabyte.training import _step_gradients, init_weights
 
 CASES = 100
+SCAN_EVERY = 4
+ENTRY_CHECKS = {"scoring", "decoding"}   # scans the entry points make themselves
 
 
 def _divisors(n):
@@ -53,8 +60,53 @@ def build(cfg, seed):
     return MegabyteDecoder(cfg, params)
 
 
+def assert_bit_identical(got, want):
+    if isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bit_identical(g, w)
+    elif got is None or want is None:
+        assert got is want
+    else:
+        g, w = np.asarray(got), np.asarray(want)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def scan_off_and_on(scans, fn, *args, read=lambda out: out):
+    """What fn returns as it runs (per-op scan off) and what its
+    `__wrapped__` original returns with the scan on, each passed through
+    `read` right after its call."""
+    runs = []
+    for f, scanned in ((fn, False), (fn.__wrapped__, True)):
+        scans.clear()
+        runs.append(read(f(*args)))
+        assert bool(set(scans) - ENTRY_CHECKS) == scanned, fn.__name__
+    return runs
+
+
+def check_scan_on_off(m, ids, p_len, seed, scans):
+    cfg = m.config
+    for strided in (False, True) if cfg.patch_size % 2 == 0 else (False,):
+        assert_bit_identical(*scan_off_and_on(scans, _window_scores, m, ids, strided, p_len))
+
+    prompt = bytes(ids[:p_len].astype(np.uint8))
+    assert_bit_identical(*scan_off_and_on(
+        scans, generate, m, prompt, len(ids) - p_len, 1.0, seed,
+        read=lambda tr: (tr.data, tr.logprobs, tr.serial_steps, tr.total_serial_steps)))
+
+    # One training step's loss, grad norm and every gradient, under dropout.
+    d = MegabyteDecoder(replace(cfg, dropout=0.1), m.params)
+    inputs = np.stack([ids, ids[::-1]])
+    rng = np.random.default_rng(seed)
+    assert_bit_identical(*scan_off_and_on(
+        scans, _step_gradients, d, inputs, np.ones(inputs.shape, dtype=bool), rng,
+        rng.bit_generator.state,
+        read=lambda out: (out, [None if t.grad is None else t.grad.copy()
+                                for _, t in d.params.items()])))
+
+
 @pytest.mark.parametrize("case", range(CASES))
-def test_random_config_invariants(case):
+def test_random_config_invariants(case, monkeypatch):
     rng = np.random.default_rng(1000 + case)
     cfg = draw_config(rng)
     m = build(cfg, seed=case)
@@ -89,3 +141,6 @@ def test_random_config_invariants(case):
         for mode in MODE_COST:
             got = evaluate_bpb(m, docs, mode).bpb
             assert abs(got - padded_window_bpb(m, docs, mode)) <= 1e-12, (cfg, n, mode)
+
+    if case % SCAN_EVERY == 0:
+        check_scan_on_off(m, full, p_len, case, count_scans(monkeypatch))

@@ -316,28 +316,6 @@ def test_attention_heads_must_divide_dim(heads):
         T.causal_attention(x, x, x, heads)
 
 
-def test_attention_score_counter():
-    T.reset_attention_score_ops()
-    rng = np.random.default_rng(11)
-    q = rng.normal(size=(3, 4, 2))
-    T.causal_attention(Tensor(q), Tensor(q), Tensor(q))
-    assert T.attention_score_ops() == 3 * 4 * 4
-    ek = rng.normal(size=(3, 2, 2))
-    kv = Tensor(np.concatenate([ek, q], -2))
-    T.causal_attention(Tensor(q), kv, kv)
-    assert T.attention_score_ops() == 3 * 4 * 4 + 3 * 4 * (4 + 2)
-    T.reset_attention_score_ops()
-
-
-def test_attention_score_counter_counts_heads():
-    # Each head scores its own query-key pairs: lead * heads * t_q * t_k.
-    T.reset_attention_score_ops()
-    x = Tensor(np.random.default_rng(14).normal(size=(3, 4, 8)))
-    T.causal_attention(x[:, 1:], x, x, heads=2)
-    assert T.attention_score_ops() == 3 * 2 * 3 * 4
-    T.reset_attention_score_ops()
-
-
 # -- layer norm -----------------------------------------------------------------
 
 def test_layer_norm_constant_slice_is_zero():
@@ -653,9 +631,8 @@ def test_no_grad_blocks_graph():
 # -- reach -----------------------------------------------------------------------
 
 # Not on the decoder's paths: checked_once runs at import, as a decorator,
-# and the score counter is read only by tests.
-_UNREACHED_BY_DESIGN = {"Tensor.__repr__", "checked_once", "attention_score_ops",
-                        "reset_attention_score_ops"}
+# and __repr__ only when a tensor is printed.
+_UNREACHED_BY_DESIGN = {"Tensor.__repr__", "checked_once"}
 
 
 def test_every_engine_function_is_reached_by_the_decoder():
