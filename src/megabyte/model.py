@@ -276,6 +276,20 @@ class KVCache:
         self.n = self.lead
 
 
+def _causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
+    """Left-padded 1-d convolution of x (..., t, c_in) with kernel
+    (width, c_in, c_out) along t: output row i sums tap j's matmul with row
+    i - width + 1 + j, zero before the start, so the final tap multiplies
+    row i and no row sees a later one. One matmul per tap, summed in tap
+    order."""
+    w, t = kernel.shape[0], x.shape[-2]
+    xp = T.concat([Tensor(np.zeros(x.shape[:-2] + (w - 1, x.shape[-1]))), x], axis=-2)
+    out = T.matmul(xp[..., 0:t, :], kernel[0])
+    for j in range(1, w):
+        out = out + T.matmul(xp[..., j:j + t, :], kernel[j])
+    return out
+
+
 def _cross_slots(x: Tensor, r: int) -> Tensor:
     """Cross-patch slots for (B, K, t, dim) keys or values: each patch gets
     the last r rows of the patch before it, and the first patch zeros."""
@@ -307,7 +321,9 @@ class MegabyteDecoder:
 
         Patch 0 is the trainable pad patch, used verbatim (no positional
         term); patch k is the byte + position embeddings of patch k - 1's
-        bytes, contextualized by the 3-5-7 causal conv stack when it is on.
+        bytes, contextualized by the 3-5-7 causal conv stack when it is on:
+        each width w adds relu(`_causal_conv`(rows, conv{w})) to its input
+        rows, so its filter taps run in matmul like every other weight.
         One embedding call covers the ids from CONV_CONTEXT bytes before
         patch k0's input to the end, so ids that stop where patch k1 - 1's
         input stops give the same rows as the whole sequence.
@@ -323,7 +339,7 @@ class MegabyteDecoder:
             emb = T.embedding(p["global_embed"], ids[:, lo:]) + p["global_pos"][lo:t]
             if cfg.conv_active:
                 for w in CONV_WIDTHS:
-                    emb = emb + T.causal_conv1d(emb, p[f"conv{w}"]).relu()
+                    emb = emb + _causal_conv(emb, p[f"conv{w}"]).relu()
             rows.append(emb[:, (first - 1) * ps - lo:(k1 - 1) * ps].reshape(b, k1 - first, m))
         return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
 

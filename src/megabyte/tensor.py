@@ -1,12 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Covers exactly the operations the decoder needs. Tensor methods:
-broadcast + and *, relu, reshape, transpose, slicing and sum. Functions:
-matmul (rows by a 2-D matrix, plus an optional (n,) bias added into the
-product as one node), concat, broadcast_to, embedding (row lookup),
-gather_last, log_softmax_last, layer_norm, causal_conv1d,
+broadcast + and *, relu, reshape, transpose, slicing and sum (of every
+entry). Functions: matmul (rows by a 2-D matrix, plus an optional (n,)
+bias added into the product as one node), concat, broadcast_to,
+embedding (row lookup), gather_last, log_softmax_last, layer_norm,
 causal_attention (fused, on (..., t, heads * d) rows whose heads it
 splits as numpy views, with optional rotary positions) and dropout.
+Every product with a weight matrix, the conv encoder's filter taps
+included, runs in matmul.
 Every array is float64, the precision the gradient checks are stated for.
 
 A tensor is immutable after creation except for gradient accumulation,
@@ -191,9 +193,7 @@ class Tensor:
             out._backprop = _bp
         return out
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         out = _result(self.data.reshape(shape), (self,), "reshape")
         if out._prev:
             def _bp(g):
@@ -221,12 +221,10 @@ class Tensor:
             out._backprop = _bp
         return out
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _result(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+    def sum(self) -> "Tensor":
+        out = _result(self.data.sum(), (self,), "sum")
         if out._prev:
             def _bp(g):
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
                 self._accum(np.broadcast_to(g, self.shape))
             out._backprop = _bp
         return out
@@ -390,40 +388,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 gh -= t
                 gh *= inv
                 x._accum(gh)
-        out._backprop = _bp
-    return out
-
-
-def causal_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Left-padded 1-d convolution over the second-to-last axis.
-
-    x is (..., t, c_in), kernel is (width, c_in, c_out); output position i
-    sees only x[..., <= i, :], and the final tap multiplies x[..., i, :].
-    """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    w = kernel.shape[0]
-    t = x.shape[-2]
-    pad_width = [(0, 0)] * x.ndim
-    pad_width[-2] = (w - 1, 0)
-    xp = np.pad(x.data, pad_width)
-    out_data = np.zeros(x.shape[:-1] + (kernel.shape[2],), dtype=x.data.dtype)
-    for j in range(w):
-        out_data += np.matmul(xp[..., j:j + t, :], kernel.data[j])
-    out = _result(out_data, (x, kernel), "causal_conv1d")
-    if out._prev:
-        def _bp(g):
-            if _tracked(kernel):
-                gk = np.zeros_like(kernel.data)
-                for j in range(w):
-                    seg = xp[..., j:j + t, :]
-                    gk[j] = np.tensordot(seg.reshape(-1, seg.shape[-1]),
-                                         g.reshape(-1, g.shape[-1]), axes=(0, 0))
-                kernel._accum(gk)
-            if _tracked(x):
-                gp = np.zeros_like(xp)
-                for j in range(w):
-                    gp[..., j:j + t, :] += np.matmul(g, kernel.data[j].T)
-                x._accum(gp[..., w - 1:, :])
         out._backprop = _bp
     return out
 

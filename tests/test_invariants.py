@@ -4,7 +4,9 @@ of the full forward, every `global_forward(h, k0=k)` equals the matching
 rows of the full global stack, (where P and T are even) every
 `evaluate_bpb` mode equals the padded-window oracle of `test_inference`,
 and, on every SCAN_EVERY-th case, each `checked_once` entry point returns
-the same bits with the per-op finiteness scan off, as it runs, and on.
+the same bits with the per-op finiteness scan off, as it runs, and on,
+and (if the case is small enough, FD_PARAMS) every parameter gradient
+matches central finite differences at 1e-4.
 
 Each case draws patch size, patch count, depths, dims, explicit head
 counts (from the divisors of each half's width), conv, the cross-patch
@@ -16,17 +18,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_scans
+from conftest import count_scans, fd_grad, max_rel_err, prepare_generic_point
 from test_inference import padded_window_bpb
 
 from megabyte.data import Document
 from megabyte.inference import MODE_COST, _window_scores, evaluate_bpb, generate
-from megabyte.model import MegabyteDecoder, ModelConfig
-from megabyte.training import _step_gradients, init_weights
+from megabyte.model import MegabyteDecoder, ModelConfig, parameter_spec
+from megabyte.tensor import no_grad
+from megabyte.training import _step_gradients, init_weights, sequence_loss_bits
 
 CASES = 100
 SCAN_EVERY = 4
 ENTRY_CHECKS = {"scoring", "decoding"}   # scans the entry points make themselves
+FD_VOCAB = 5       # the FD cases' vocabulary, so that the tied table stays small
+FD_PARAMS = 300    # largest parameter count, at FD_VOCAB, an FD case sweeps
 
 
 def _divisors(n):
@@ -105,6 +110,39 @@ def check_scan_on_off(m, ids, p_len, seed, scans):
                                 for _, t in d.params.items()])))
 
 
+def check_fd_gradients(cfg, seed, rng):
+    """For the drawn architecture at FD_VOCAB, if it has at most FD_PARAMS
+    parameters there (each costs four forwards): every parameter's gradient
+    of the loss over all positions against central differences, at init
+    weights re-drawn, with jittered biases, until no +-h step of a
+    parameter flips a ReLU sign."""
+    cfg = replace(cfg, vocab_size=FD_VOCAB)
+    if sum(int(np.prod(shape)) for _, shape, _, _ in parameter_spec(cfg)) > FD_PARAMS:
+        return
+    h = 1e-5
+    ids = rng.integers(0, cfg.vocab_size, size=cfg.context_len)
+    mask = np.ones(ids.shape, dtype=bool)
+    m = MegabyteDecoder(cfg, init_weights(cfg, seed))
+
+    def fresh(attempt):
+        m.params = init_weights(cfg, seed + 1000 * attempt)
+        jitter = np.random.default_rng(attempt)
+        for name, t in m.params.items():
+            if ".b" in name or name.endswith("bias"):
+                t.data = t.data + jitter.normal(scale=0.01, size=t.shape)
+
+    prepare_generic_point(m, ids, fresh, h)
+
+    def loss():
+        return sequence_loss_bits(m.forward(ids), ids, mask)
+
+    loss().backward()
+    with no_grad():
+        for name, t in m.params.items():
+            err = max_rel_err(t.grad, fd_grad(lambda: loss().item(), t.data, h))
+            assert err < 1e-4, (cfg, name, err)
+
+
 @pytest.mark.parametrize("case", range(CASES))
 def test_random_config_invariants(case, monkeypatch):
     rng = np.random.default_rng(1000 + case)
@@ -144,3 +182,4 @@ def test_random_config_invariants(case, monkeypatch):
 
     if case % SCAN_EVERY == 0:
         check_scan_on_off(m, full, p_len, case, count_scans(monkeypatch))
+        check_fd_gradients(cfg, case, rng)

@@ -1,17 +1,20 @@
-"""Decoder assembly: input preparation, patch embedding, both transformer
-stacks against loop-based numpy references, causality for every variant,
-and end-to-end gradients against finite differences."""
+"""Decoder assembly: input preparation, patch embedding and the conv
+encoder's causal convolution, both transformer stacks against loop-based
+numpy references, causality for every variant, and end-to-end gradients
+against finite differences."""
 
 import numpy as np
 import pytest
 
-from conftest import fd_grad, max_rel_err, prepare_generic_point, ref_attention
+from conftest import fd_grad, max_rel_err, prepare_generic_point, ref_attention, ref_causal_conv
+from test_tensor import _check_grads
 
 from megabyte import tensor as T
 from megabyte.model import (
     PAD,
     MegabyteDecoder,
     ModelConfig,
+    _causal_conv,
     count_params,
     parameter_spec,
     prepare_local_input,
@@ -148,6 +151,75 @@ def test_embed_global_patch_range_matches_whole_sequence(conv):
         for k0 in range(k1):
             part = m.embed_global(ids[:, :(k1 - 1) * 4], k0, k1).data
             assert np.array_equal(part, whole[:, k0:k1]), (k0, k1)
+
+
+# -- causal conv: the patch encoder's filters, one matmul per tap ---------------------
+
+def test_conv_identity_filter():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(6, 3))
+    kernel = np.zeros((3, 3, 3))
+    kernel[-1] = np.eye(3)  # the tap aligned with the current sample
+    out = _causal_conv(T.Tensor(x), T.Tensor(kernel))
+    assert np.allclose(out.data, x, atol=1e-15)
+
+
+def test_conv_causality():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(8, 2))
+    kernel = rng.normal(size=(5, 2, 2))
+    base = _causal_conv(T.Tensor(x), T.Tensor(kernel)).data
+    for j in range(1, 8):
+        mod = x.copy()
+        mod[j] += 10.0
+        out = _causal_conv(T.Tensor(mod), T.Tensor(kernel)).data
+        assert np.array_equal(out[:j], base[:j])
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (2, 5, 2)], ids=["single", "batched"])
+def test_conv_width3_hand_oracle(shape):
+    # At batch > 1 each tap's rows are a non-contiguous slice of the padded input.
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=shape)
+    kernel = rng.normal(size=(3, shape[-1], shape[-1]))
+    out = _causal_conv(T.Tensor(x), T.Tensor(kernel)).data
+    want = [ref_causal_conv(row, kernel) for row in x.reshape((-1,) + shape[-2:])]
+    assert np.allclose(out, np.reshape(want, out.shape), atol=1e-12)
+
+
+def test_conv_grads_finite_differences():
+    rng = np.random.default_rng(16)
+    arrays = {"x": rng.normal(size=(5, 3)), "k": rng.normal(size=(3, 3, 2))}
+    w = rng.normal(size=(5, 2))
+
+    def build():
+        ts = {name: T.Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+        ts["loss"] = (_causal_conv(ts["x"], ts["k"]) * T.Tensor(w)).sum()
+        return ts
+
+    _check_grads(build, arrays, tol=1e-5)
+
+
+def test_every_weight_product_runs_in_matmul(monkeypatch):
+    # One op holds every product with a weight matrix, the conv filters
+    # included; only the tables read by row lookup, slicing or broadcast
+    # reach the model otherwise.
+    cfg = toy_config(context_len=16, conv_encoder=True, cross_patch_window=2)
+    m = build(cfg, seed=7)
+    operands = []
+    real = T.matmul
+
+    def recorded(a, b, bias=None):
+        operands.append(b.data)
+        return real(a, b, bias)
+
+    monkeypatch.setattr(T, "matmul", recorded)
+    m.forward(np.random.default_rng(8).integers(0, cfg.vocab_size, size=(2, 16)))
+    tables = {"global_embed", "global_pos", "global_pad", "local_pad", "local_pos"}
+    missed = [name for name, t in m.params.items()
+              if t.ndim >= 2 and name not in tables
+              and not any(np.shares_memory(t.data, b) for b in operands)]
+    assert not missed, f"weights multiplied outside matmul: {missed}"
 
 
 # -- global stack -------------------------------------------------------------------

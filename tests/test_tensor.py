@@ -10,12 +10,12 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fd_grad, max_rel_err, ref_attention, ref_causal_conv
+from conftest import fd_grad, max_rel_err, ref_attention
 
 from megabyte import tensor as T
 from megabyte.data import Document, make_windows
 from megabyte.inference import evaluate_bpb, generate
-from megabyte.model import MegabyteDecoder, ModelConfig
+from megabyte.model import MegabyteDecoder, ModelConfig, _causal_conv
 from megabyte.tensor import Tensor
 from megabyte.training import TrainConfig, init_weights, train
 
@@ -375,50 +375,6 @@ def test_layer_norm_overflowed_variance_raises():
         T.layer_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
 
-# -- causal conv -----------------------------------------------------------------
-
-def test_conv_identity_filter():
-    rng = np.random.default_rng(13)
-    x = rng.normal(size=(6, 3))
-    kernel = np.zeros((3, 3, 3))
-    kernel[-1] = np.eye(3)  # the tap aligned with the current sample
-    out = T.causal_conv1d(Tensor(x), Tensor(kernel))
-    assert np.allclose(out.data, x, atol=1e-15)
-
-
-def test_conv_causality():
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(8, 2))
-    kernel = rng.normal(size=(5, 2, 2))
-    base = T.causal_conv1d(Tensor(x), Tensor(kernel)).data
-    for j in range(1, 8):
-        mod = x.copy()
-        mod[j] += 10.0
-        out = T.causal_conv1d(Tensor(mod), Tensor(kernel)).data
-        assert np.array_equal(out[:j], base[:j])
-
-
-def test_conv_width3_hand_oracle():
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(4, 1))
-    kernel = rng.normal(size=(3, 1, 1))
-    out = T.causal_conv1d(Tensor(x), Tensor(kernel)).data
-    assert np.allclose(out, ref_causal_conv(x, kernel), atol=1e-12)
-
-
-def test_conv_grads_finite_differences():
-    rng = np.random.default_rng(16)
-    arrays = {"x": rng.normal(size=(5, 3)), "k": rng.normal(size=(3, 3, 2))}
-    w = rng.normal(size=(5, 2))
-
-    def build():
-        ts = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-        ts["loss"] = (T.causal_conv1d(ts["x"], ts["k"]) * Tensor(w)).sum()
-        return ts
-
-    _check_grads(build, arrays, tol=1e-5)
-
-
 # -- backward mechanics -------------------------------------------------------------
 
 def test_sum_gradient_is_ones():
@@ -452,12 +408,12 @@ def test_graph_is_freed_by_reference_counting():
     try:
         x = T.embedding(table, np.array([[0, 1, 2, 3]]))
         h = T.layer_norm(T.matmul(x, w).relu(), Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        h = h + T.causal_conv1d(h, kernel) * 0.5
+        h = h + _causal_conv(h, kernel) * 0.5
         q = h.reshape(1, 1, 4, 4).transpose((0, 1, 3, 2))
         kv = T.concat([q[..., :2, :], q], axis=-2)
         a = T.causal_attention(q, kv, kv, rotary=True)
         c = T.concat([a, T.broadcast_to(w[:1], (1, 1, 1, 4))], axis=-2)
-        c = T.dropout(c, 0.5, np.random.default_rng(1)) + c.sum(axis=-1, keepdims=True) * (-1.0 / c.shape[-1])
+        c = T.dropout(c, 0.5, np.random.default_rng(1)) + T.matmul(c, Tensor(np.full((4, 1), -0.25)))
         loss = T.gather_last(T.log_softmax_last(c), np.zeros((1, 1, 5), dtype=np.int64)).sum()
         nodes, stack = [], [loss]
         while stack:
