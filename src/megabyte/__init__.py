@@ -11,7 +11,7 @@ from . import costmodel, data, inference, tensor, training
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, load_config
 from .inference import EvalReport, GenTrace, evaluate_bpb, generate
-from .model import MegabyteDecoder, ModelConfig, Parameters, prepare_local_input
+from .model import MegabyteDecoder, ModelConfig, Parameters
 from .tensor import Tensor
 from .training import TrainConfig, init_weights, train
 
@@ -32,7 +32,6 @@ __all__ = [
     "init_weights",
     "load_checkpoint",
     "load_config",
-    "prepare_local_input",
     "save_checkpoint",
     "tensor",
     "train",

@@ -151,8 +151,7 @@ def sweep_to_csv(specs: list[ArchSpec], seq_lens: list[int], masked: bool = Fals
             else:
                 m_g, m_l, p = spec.m, 0, ""
                 attn = attention_ops(t, None, masked)
-                depth = spec.l_global + spec.l_local
-                steps = t * depth
+                steps = serial_steps(spec.l_global, spec.l_local, 1, t)[1]
             writer.writerow([spec.kind, m_g, m_l, p, spec.embed_dim or "", t,
                              float(flops_per_token(spec)), float(attn), steps])
     return buf.getvalue()

@@ -23,10 +23,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-# Sentinel id at position 0 of each `prepare_local_input` row. It is never
-# embedded: `_local_byte_embed` drops that column and adds `local_pad` there.
-PAD = -1
-
 FF_MULT = 4
 CONV_WIDTHS = (3, 5, 7)
 # Bytes back the conv stack reads: each causal conv of width w, w - 1.
@@ -227,21 +223,6 @@ def count_params(cfg: ModelConfig) -> dict[str, int]:
     return counts
 
 
-def prepare_local_input(ids: np.ndarray, patch_size: int) -> np.ndarray:
-    """Chunk (..., T) byte ids into (..., K, P) rows [PAD, x_kP, .., x_kP+P-2].
-
-    Position (k, p) of the local model predicts byte x_{kP+p}.
-    """
-    ids = np.asarray(ids)
-    t = ids.shape[-1]
-    if t % patch_size != 0:
-        raise ValueError("sequence length must be a multiple of patch_size")
-    k = t // patch_size
-    patches = ids.reshape(ids.shape[:-1] + (k, patch_size))
-    pad = np.full(ids.shape[:-1] + (k, 1), PAD, dtype=ids.dtype)
-    return np.concatenate([pad, patches[..., :-1]], axis=-1)
-
-
 class KVCache:
     """Key/value rows of one layer for incremental decode (pre-rotary, heads
     side by side), written in place into one buffer pair of lead + capacity
@@ -434,16 +415,20 @@ class MegabyteDecoder:
     # -- combining the two halves -----------------------------------------
 
     def _local_byte_embed(self, ids: np.ndarray, start: int = 0, stop: int | None = None) -> Tensor:
-        """Shifted byte embeddings per patch, plus learned local positions,
-        at within-patch positions start..stop-1 (default: all P)."""
+        """Local byte inputs (B, K, stop - start, D_L) of (B, T) byte ids at
+        within-patch positions start..stop-1 (default: all P): position s of
+        patch k embeds byte kP + s - 1, position 0 the learned `local_pad`,
+        and each adds its learned local position."""
         cfg, p = self.config, self.params
-        loc = prepare_local_input(ids, cfg.patch_size)[..., start:stop]
-        if start > 0:
-            emb = T.embedding(p["local_embed"], loc)
-        else:
+        b, t = ids.shape
+        ps = cfg.patch_size
+        stop = ps if stop is None else stop
+        prev = ids.reshape(b, t // ps, ps)[..., max(start, 1) - 1:stop - 1]
+        emb = T.embedding(p["local_embed"], prev)
+        if start == 0:
             pad = T.broadcast_to(p["local_pad"].reshape(1, 1, 1, -1),
-                                 loc.shape[:-1] + (1, cfg.local_dim))
-            emb = T.concat([pad, T.embedding(p["local_embed"], loc[..., 1:])], axis=-2)
+                                 prev.shape[:-1] + (1, cfg.local_dim))
+            emb = T.concat([pad, emb], axis=-2)
         return emb + p["local_pos"][start:stop]
 
     def project_global(self, h_global_out: Tensor) -> Tensor:

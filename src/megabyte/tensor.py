@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Covers exactly the operations the decoder needs. Tensor methods:
-broadcast + and *, relu, reshape, transpose, slicing and sum (of every
-entry). Functions: matmul (rows by a 2-D matrix, plus an optional (n,)
-bias added into the product as one node), concat, broadcast_to,
-embedding (row lookup), gather_last, log_softmax_last, layer_norm,
+broadcast + and *, relu, reshape, transpose, slicing (which also takes
+integer-array picks, as the loss reads each target's log-probability)
+and sum (of every entry). Functions: matmul (rows by a 2-D matrix, plus
+an optional (n,) bias added into the product as one node), concat,
+broadcast_to, embedding (row lookup), log_softmax_last, layer_norm,
 causal_attention (fused, on (..., t, heads * d) rows whose heads it
 splits as numpy views, with optional rotary positions) and dropout.
 Every product with a weight matrix, the conv encoder's filter taps
@@ -211,7 +212,10 @@ class Tensor:
         return out
 
     def __getitem__(self, key) -> "Tensor":
-        # Basic slicing only: views never alias repeated elements.
+        # The backward's `full[key] += g` adds once per element, so the key
+        # must pick each element at most once: true of basic slices, and of
+        # integer-array keys without repeats, as the loss's (position,
+        # target) pairs are.
         out = _result(self.data[key], (self,), "slice")
         if out._prev:
             def _bp(g):
@@ -323,22 +327,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             gt = np.zeros_like(table.data)
             np.add.at(gt, ids, g)
             table._accum(gt)
-        out._backprop = _bp
-    return out
-
-
-def gather_last(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick one entry per last-axis slice: out[...] = x[..., idx[...]]."""
-    idx = np.asarray(idx)
-    if idx.shape != x.shape[:-1]:
-        raise ValueError("index shape must equal x.shape[:-1]")
-    out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
-    out = _result(out_data, (x,), "gather_last")
-    if out._prev:
-        def _bp(g):
-            gx = np.zeros_like(x.data)
-            np.put_along_axis(gx, idx[..., None], g[..., None], axis=-1)
-            x._accum(gx)
         out._backprop = _bp
     return out
 

@@ -165,13 +165,19 @@ def adam_step(params: Parameters, state: OptimState, lr: float, weight_decay: fl
 
 
 def sequence_loss_bits(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean negative log2-likelihood of targets over unmasked positions."""
-    picked = T.gather_last(log_probs, targets)
-    kept = picked * Tensor(mask.astype(picked.data.dtype))
-    count = float(mask.sum())
-    if count == 0:
+    """Mean negative log2-likelihood of targets over unmasked positions:
+    targets and mask share log_probs' leading shape, and each kept
+    position's log-probability of its target is picked by index."""
+    targets, mask = np.asarray(targets), np.asarray(mask)
+    if not targets.shape == mask.shape == log_probs.shape[:-1]:
+        raise ValueError(f"targets {targets.shape} and mask {mask.shape} must both have "
+                         f"log_probs' leading shape {log_probs.shape[:-1]}")
+    kept = np.nonzero(mask)
+    n = kept[0].size
+    if n == 0:
         raise ValueError("loss mask selects no positions")
-    return kept.sum() * (-1.0 / (LN2 * count))
+    picked = log_probs[kept + (targets[kept],)]
+    return picked.sum() * (-1.0 / (LN2 * n))
 
 
 @T.checked_once

@@ -1,5 +1,5 @@
-"""Decoder assembly: input preparation, patch embedding and the conv
-encoder's causal convolution, both transformer stacks against loop-based
+"""Decoder assembly: patch embedding and the conv encoder's causal
+convolution, the local inputs, both transformer stacks against loop-based
 numpy references, causality for every variant, and end-to-end gradients
 against finite differences."""
 
@@ -11,13 +11,11 @@ from test_tensor import _check_grads
 
 from megabyte import tensor as T
 from megabyte.model import (
-    PAD,
     MegabyteDecoder,
     ModelConfig,
     _causal_conv,
     count_params,
     parameter_spec,
-    prepare_local_input,
 )
 from megabyte.training import init_weights, sequence_loss_bits
 
@@ -65,33 +63,6 @@ def ref_transformer_stack(x, params, scope, layers, heads):
     if layers > 0:
         x = ref_layer_norm(x, p(f"{scope}.lnf.gain"), p(f"{scope}.lnf.bias"))
     return x
-
-
-# -- input preparation ----------------------------------------------------------
-
-def test_prepare_rejects_nonmultiple():
-    with pytest.raises(ValueError):
-        prepare_local_input(np.arange(10), 4)
-
-
-def test_prepare_local_shift():
-    ids = np.array([10, 20, 30, 40, 50, 60, 70, 80])
-    out = prepare_local_input(ids, 4)
-    assert np.array_equal(out, [[PAD, 10, 20, 30], [PAD, 50, 60, 70]])
-
-
-def test_prepare_local_patch_size_one():
-    out = prepare_local_input(np.array([3, 7, 9]), 1)
-    assert np.array_equal(out, [[PAD], [PAD], [PAD]])
-
-
-def test_prepare_local_target_alignment():
-    # Row (k, p) exposes bytes < k*P + p, so position (k, p) predicts x_{kP+p}.
-    ids = np.arange(12)
-    out = prepare_local_input(ids, 4)
-    for k in range(3):
-        for p in range(1, 4):
-            assert out[k, p] == ids[4 * k + p - 1]
 
 
 # -- patch embedder ----------------------------------------------------------------
@@ -294,12 +265,16 @@ def test_combine_identity_projection_passes_chunk():
 
 
 def test_combine_matches_naive_loop():
+    # Position s of patch k reads the learned pad at s = 0 and byte kP + s - 1
+    # after it; positions start..stop-1 alone (as decode asks for them) are
+    # exactly those rows of the whole patch.
     cfg = toy_config(global_dim=3, local_dim=5, context_len=12, patch_size=4)
     m = build(cfg, seed=14)
     rng = np.random.default_rng(15)
     ids = rng.integers(0, cfg.vocab_size, size=12)
     h_g = rng.normal(size=(3, 12))
-    got = m.combine_for_local(m.project_global(T.Tensor(h_g[None])), ids[None]).data[0]
+    slices = m.project_global(T.Tensor(h_g[None]))
+    got = m.combine_for_local(slices, ids[None]).data[0]
     p = m.params
     for k in range(3):
         for pos in range(4):
@@ -310,6 +285,10 @@ def test_combine_matches_naive_loop():
                 byte_emb = p["local_embed"].data[ids[4 * k + pos - 1]]
             expect = chunk @ p["gl_proj"].data + byte_emb + p["local_pos"].data[pos]
             assert np.allclose(got[k, pos], expect, atol=1e-12)
+    for start in range(4):
+        for stop in range(start + 1, 5):
+            part = m.combine_for_local(slices[:, :, start:stop], ids[None], start, stop).data[0]
+            assert np.array_equal(part, got[:, start:stop]), (start, stop)
 
 
 def test_local_forward_patch_independence_without_cross_patch():
@@ -518,9 +497,11 @@ def jitter_biases(m: MegabyteDecoder, seed: int, scale: float = 0.01) -> None:
 
 def generic_point(m: MegabyteDecoder, ids, seed: int, jitter_seed: int) -> None:
     """Install init_weights(seed) plus bias jitter, re-drawn until no +-h step
-    of a parameter flips a ReLU sign (attempt 0 uses jitter_seed itself)."""
+    of a parameter flips a ReLU sign (attempt 0 uses seed and jitter_seed
+    themselves; later attempts re-draw the weights too, since the conv
+    filters have no bias to jitter)."""
     def fresh(attempt):
-        m.params = init_weights(m.config, seed)
+        m.params = init_weights(m.config, seed + 1000 * attempt)
         jitter_biases(m, jitter_seed + attempt)
 
     prepare_generic_point(m, ids, fresh, h=1e-5)

@@ -204,6 +204,29 @@ def test_loss_masks_padded_positions():
     assert loss.item() == pytest.approx(3.0)  # log2(8)
 
 
+def test_loss_averages_kept_positions_only():
+    rng = np.random.default_rng(6)
+    lp = np.log(rng.dirichlet(np.ones(8), size=(2, 4)))
+    targets = rng.integers(0, 8, size=(2, 4))
+    mask = np.array([[True, False, True, True], [False, True, True, False]])
+    loss = sequence_loss_bits(Tensor(lp), targets, mask)
+    kept = [lp[i, j, targets[i, j]] for i in range(2) for j in range(4) if mask[i, j]]
+    assert loss.item() == pytest.approx(-np.mean(kept) / math.log(2.0))
+
+
+@pytest.mark.parametrize("targets_shape, mask_shape", [
+    ((2, 4), (1, 4)),   # a mask that numpy would broadcast over the batch
+    ((2, 4), (4,)),
+    ((1, 4), (2, 4)),
+    ((2, 3), (2, 3)),
+], ids=["mask-one-row", "mask-1d", "targets-one-row", "both-short"])
+def test_loss_rejects_misshaped_targets_or_mask(targets_shape, mask_shape):
+    lp = Tensor(np.log(np.full((2, 4, 8), 0.125)))
+    with pytest.raises(ValueError, match="leading shape"):
+        sequence_loss_bits(lp, np.zeros(targets_shape, dtype=np.int64),
+                           np.ones(mask_shape, dtype=bool))
+
+
 def test_train_loop_memorizes_tiny_pattern():
     cfg = small_config(vocab_size=256, dropout=0.0)
     model = MegabyteDecoder(cfg, init_weights(cfg, seed=1))
