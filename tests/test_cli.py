@@ -1,8 +1,9 @@
 """Subcommand behavior: artifacts, exit codes, determinism, checkpoint
 round trips, and the key=value config contract."""
 
+import io
+import os
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from megabyte.config import (
     load_config,
     parse_config_text,
 )
-from megabyte.model import MegabyteDecoder, ModelConfig
+from megabyte.model import ModelConfig
 from megabyte.training import TrainConfig, init_weights
 
 TOY_CONFIG = """\
@@ -406,25 +407,31 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert params2.decays(name) == params.decays(name)
 
 
-def test_checkpoint_bad_magic(tmp_path):
+def _archive(members: dict) -> bytes:
+    """An `.npz` archive of `members`, written by `np.savez`, so every CRC is valid."""
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+def _members(path) -> dict:
+    with np.load(path) as npz:
+        return dict(npz)
+
+
+def _with_config(members: dict, old: bytes, new: bytes) -> bytes:
+    text = members["config"].tobytes().replace(old, new)
+    return _archive({**members, "config": np.frombuffer(text, dtype=np.uint8)})
+
+
+def test_checkpoint_not_a_zip(tmp_path):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
     blob = bytearray(path.read_bytes())
     blob[0] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="bad magic"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_version_mismatch(tmp_path):
-    mc, tc = _toy_pair()
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, mc, tc, init_weights(mc, 0))
-    blob = bytearray(path.read_bytes())
-    blob[4] = 99
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointError, match="version mismatch"):
+    with pytest.raises(CheckpointError, match="not a .npz checkpoint"):
         load_checkpoint(path)
 
 
@@ -434,33 +441,83 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
     blob = path.read_bytes()
     path.write_bytes(blob[:-3])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(CheckpointError, match="not a .npz checkpoint"):
         load_checkpoint(path)
 
 
-def _first_name_offset(blob: bytes) -> int:
-    # magic, version, config length, config text, tensor count, name length
-    return 12 + int.from_bytes(blob[8:12], "little") + 4 + 2
-
-
-@pytest.mark.parametrize("corrupt", [
-    lambda b: b[:12] + b"\xff" + b[13:],
-    lambda b: b.replace(b"vocab_size=19", b"vocab_size=1x"),
-    lambda b: b.replace(b"vocab_size=19", b"vocab_size=18"),
-    lambda b: b[:_first_name_offset(b)] + b"\xff" + b[_first_name_offset(b) + 1:],
-    lambda b: b.replace(b"global_pad", b"global_pos"),
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda b, m: _with_config(m, b"vocab_size=19", b"vocab_size=\xff9"), "bad embedded config"),
+    (lambda b, m: _with_config(m, b"vocab_size=19", b"vocab_size=1x"), "bad embedded config"),
+    (lambda b, m: _with_config(m, b"vocab_size=19", b"vocab_size=18"),
+     re.escape("'global_embed' has shape (19, 3), expected (18, 3)")),
+    # Byte-level renames, in the local header and the central directory
+    # alike; zip's CRCs cover member data, not names. Zipfile reads a name
+    # without the UTF-8 flag as cp437.
+    (lambda b, m: b.replace(b"gl_proj.npy", b"\xffl_proj.npy"),
+     "unexpected member " + re.escape(repr(b"\xffl_proj".decode("cp437")))),
+    (lambda b, m: b.replace(b"global_pad.npy", b"global_pos.npy"),
+     "member 'global_pos'.*repeated"),
 ], ids=["config-not-utf8", "config-bad-value", "config-shape-mismatch", "name-not-utf8",
         "name-repeated"])
-def test_checkpoint_corrupt_config_or_name(tmp_path, corrupt):
+def test_checkpoint_corrupt_config_or_name(tmp_path, corrupt, match):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
     blob = path.read_bytes()
-    bad = corrupt(blob)
-    assert len(bad) == len(blob) and bad != blob
+    bad = corrupt(blob, _members(path))
+    assert bad != blob
     path.write_bytes(bad)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("member, value", [
+    ("gl_proj", lambda a: a.T),
+    ("gl_proj", lambda a: np.zeros((0, 2**40))),
+    ("gl_proj", lambda a: a.astype(np.int64)),
+    ("gl_proj", lambda a: a.astype(np.float32)),
+    ("gl_proj", lambda a: np.float64(1.0)),
+    ("gl_proj", lambda a: np.array([1.0, None], dtype=object)),
+    ("config", None),
+], ids=["wrong-shape", "zero-size-huge-dim", "int64", "float32", "0-d", "object-pickled",
+        "missing-config"])
+def test_checkpoint_rejects_well_formed_wrong_member(tmp_path, member, value):
+    mc, tc = _toy_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, mc, tc, init_weights(mc, 0))
+    members = _members(path)
+    if value is None:
+        del members[member]
+    else:
+        members[member] = value(members[member])
+    path.write_bytes(_archive(members))
+    with pytest.raises(CheckpointError, match=re.escape(repr(member))):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bit_flips_raise_or_change_nothing(tmp_path):
+    mc, tc = _toy_pair()
+    params = init_weights(mc, 0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, mc, tc, params, window_stride=4)
+    blob = path.read_bytes()
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        bad = bytearray(blob)
+        for bit in rng.choice(8 * len(blob), rng.integers(1, 4), replace=False):
+            bad[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(bad))
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            continue
+        mc2, tc2, params2, stride = loaded
+        assert (mc2, tc2, stride) == (mc, tc, 4)
+        assert [n for n, _ in params2.items()] == [n for n, _ in params.items()]
+        for name, t in params.items():
+            assert params2[name].data.dtype == t.data.dtype
+            assert params2[name].data.tobytes() == t.data.tobytes()
+            assert params2.decays(name) == params.decays(name)
 
 
 def test_checkpoint_non_finite_tensor_eval_exit2(workdir, capsys):
@@ -477,49 +534,67 @@ def test_checkpoint_non_finite_tensor_eval_exit2(workdir, capsys):
     assert err.startswith("error:") and "gl_proj" in err and "Traceback" not in err
 
 
-def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
+@pytest.mark.parametrize("kind", ["bit-flip", "v1-mbcp"])
+def test_checkpoint_corrupt_or_v1_file_cli_exit2(workdir, capsys, kind):
+    mc, tc = _toy_pair()
+    path = workdir / "m.ckpt"
+    save_checkpoint(path, mc, tc, init_weights(mc, 0))
+    if kind == "bit-flip":
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x10  # lands in tensor data, so a CRC-32 fails
+        path.write_bytes(bytes(blob))
+        match = "fails its CRC-32 check"
+    else:
+        # The old binary layout: magic, u32 version 1, then the payload.
+        path.write_bytes(b"MBCP" + (1).to_bytes(4, "little") + bytes(64))
+        match = "not a .npz checkpoint"
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+    for argv in (["eval", "--ckpt", str(path), "--data", str(workdir / "corpus.bin")],
+                 ["generate", "--ckpt", str(path), "--length", "4",
+                  "--out", str(workdir / "x.bin")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err and "Traceback" not in err
+    assert not (workdir / "x.bin").exists()
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
     before = path.read_bytes()
+
+    written = []
+
+    def failing_fsync(fd):
+        written.append(os.fstat(fd).st_size)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, mc, tc, init_weights(mc, 1))
+    monkeypatch.undo()
+    assert written and written[0] > 0  # the archive was written before the save failed
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     params = init_weights(mc, 1)
     name, _ = list(params.items())[-1]
-    params[name].data = params[name].data.astype(np.float16)  # no dtype code: the save fails partway
+    params[name].data = params[name].data.astype(np.float16)  # rejected before any write
     with pytest.raises(CheckpointError, match=re.escape(f"{name!r} has unsupported dtype float16")):
         save_checkpoint(path, mc, tc, params)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
-def test_checkpoint_float32_tensors_load_as_float64(tmp_path):
-    # Hand-built in the layout of the checkpoint module docstring, with
-    # every tensor stored as dtype code 1 (float32), as older files are.
-    mc, tc = _toy_pair()
-    values = {name: t.data.astype(np.float32) for name, t in init_weights(mc, 3).items()}
-    text = config_to_text(mc, tc, 0).encode("utf-8")
-    blob = b"MBCP" + struct.pack("<II", 1, len(text)) + text + struct.pack("<I", len(values))
-    for name, arr in values.items():
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", arr.ndim)
-        blob += b"".join(struct.pack("<I", d) for d in arr.shape)
-        blob += struct.pack("<B", 1) + arr.astype("<f4").tobytes()
-    path = tmp_path / "f32.ckpt"
-    path.write_bytes(blob)
-    mc2, _, params, _ = load_checkpoint(path)
-    for name, arr in values.items():
-        assert params[name].data.dtype == np.float64
-        assert np.array_equal(params[name].data, arr)
-    ids = np.arange(mc.context_len) % mc.vocab_size
-    assert MegabyteDecoder(mc2, params).forward(ids).data.dtype == np.float64
-
-
 def test_checkpoint_surfaces_optimizer_constants(tmp_path):
     mc, tc = _toy_pair()
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, mc, tc, init_weights(mc, 0))
-    header = path.read_bytes()[12:400].decode("utf-8", errors="ignore")
+    config = _members(path)["config"].tobytes().decode("utf-8")
     for needle in ("adam_beta1=0.9", "adam_beta2=0.98", "adam_eps=1e-08", "weight_decay=0.2"):
-        assert needle in header
+        assert needle in config.splitlines()
 
 
 # -- config text -----------------------------------------------------------------------------
@@ -576,9 +651,10 @@ def test_config_in_vocab_first_order_still_loads(tmp_path):
     params = init_weights(mc, 0)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, mc, tc, params, window_stride=4)
-    blob = path.read_bytes()
-    assert blob.count(text.encode()) == 1
-    path.write_bytes(blob.replace(text.encode(), VOCAB_FIRST_TEXT.encode()))
+    members = _members(path)
+    assert members["config"].tobytes() == text.encode()
+    members["config"] = np.frombuffer(VOCAB_FIRST_TEXT.encode(), dtype=np.uint8)
+    path.write_bytes(_archive(members))
     mc2, tc2, params2, stride = load_checkpoint(path)
     assert (mc2, tc2, stride) == (mc, tc, 4)
     for name, t in params.items():
