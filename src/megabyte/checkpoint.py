@@ -2,7 +2,8 @@
 zip keeps a CRC-32 per member.
 
 Members: one float64 `.npy` per parameter, named as in `parameter_spec`,
-and `config`, the `config_to_text` UTF-8 bytes as a 1-d uint8 array. Round
+and `config`, the `config_to_text` UTF-8 bytes of both configs as a 1-d
+uint8 array. A load returns the two configs and the parameters. Round
 trips are bit-exact, and two saves of the same run are byte-identical,
 because zipfile stamps every member 1980-01-01.
 
@@ -20,7 +21,7 @@ import os
 
 import numpy as np
 
-from .config import ConfigError, config_to_text, configs_from_values, parse_config_text
+from .config import ConfigError, config_to_text, parse_config
 from .model import ModelConfig, Parameters, parameter_spec
 from .tensor import Tensor
 from .training import TrainConfig
@@ -31,10 +32,10 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, model_cfg: ModelConfig, train_cfg: TrainConfig,
-                    params: Parameters, window_stride: int = 0) -> None:
+                    params: Parameters) -> None:
     """Write into a temp file beside `path`, fsync it, then rename it over
     `path`, so a save that fails partway leaves any earlier checkpoint intact."""
-    config_text = config_to_text(model_cfg, train_cfg, window_stride).encode("utf-8")
+    config_text = config_to_text(model_cfg, train_cfg).encode("utf-8")
     members = {"config": np.frombuffer(config_text, dtype=np.uint8)}
     for name, t in params.items():
         if t.data.dtype != np.float64:
@@ -53,7 +54,7 @@ def save_checkpoint(path, model_cfg: ModelConfig, train_cfg: TrainConfig,
         raise
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
+def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters]:
     """Read a checkpoint, rebuild the configs and the parameter set, and
     verify every member against the model config."""
     member = None
@@ -76,9 +77,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
     if config is None or config.dtype != np.uint8 or config.ndim != 1:
         raise CheckpointError("member 'config' is missing or not a 1-d uint8 array")
     try:
-        model_cfg, train_cfg, stride = configs_from_values(
-            parse_config_text(config.tobytes().decode("utf-8")))
-    except (UnicodeDecodeError, ConfigError) as exc:
+        model_cfg, train_cfg = parse_config(config.tobytes())
+    except ConfigError as exc:
         raise CheckpointError(f"bad embedded config: {exc}") from exc
 
     decays = {name: decay for name, _, decay, _ in parameter_spec(model_cfg)}
@@ -95,4 +95,4 @@ def load_checkpoint(path) -> tuple[ModelConfig, TrainConfig, Parameters, int]:
         params.check_against(model_cfg)
     except ValueError as exc:
         raise CheckpointError(str(exc)) from exc
-    return model_cfg, train_cfg, params, stride
+    return model_cfg, train_cfg, params

@@ -13,10 +13,6 @@ from dataclasses import replace
 from pathlib import Path
 
 
-class UsageError(Exception):
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="megabyte", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -66,28 +62,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
-    import numpy as np
-
     from .checkpoint import save_checkpoint
     from .config import load_config
     from .data import load_corpus, make_windows
     from .model import MegabyteDecoder
     from .training import curve_to_csv, init_weights, train
 
-    model_cfg, train_cfg, stride = load_config(args.config)
+    model_cfg, train_cfg = load_config(args.config)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
     docs = load_corpus(args.data)
     windows = make_windows(docs, model_cfg.context_len,
-                           stride or model_cfg.context_len)
-    if not windows:
-        raise UsageError("corpus produced no training windows")
+                           train_cfg.window_stride or model_cfg.context_len)
 
     params = init_weights(model_cfg, train_cfg.seed)
     model = MegabyteDecoder(model_cfg, params)
     curve = train(model, windows, train_cfg, log_every=args.log_every)
 
-    save_checkpoint(args.out, model_cfg, train_cfg, params, stride)
+    save_checkpoint(args.out, model_cfg, train_cfg, params)
     loss_path = args.loss_csv or (args.out + ".loss.csv")
     Path(loss_path).write_text(curve_to_csv(curve))
     final = curve[-1].loss_bits if curve else float("nan")
@@ -101,7 +93,7 @@ def _cmd_eval(args) -> int:
     from .inference import evaluate_bpb
     from .model import MegabyteDecoder
 
-    model_cfg, _, params, _ = load_checkpoint(args.ckpt)
+    model_cfg, _, params = load_checkpoint(args.ckpt)
     model = MegabyteDecoder(model_cfg, params)
     docs = load_corpus(args.data)
     report = evaluate_bpb(model, docs, mode=args.mode)
@@ -122,7 +114,7 @@ def _cmd_generate(args) -> int:
     from .inference import generate
     from .model import MegabyteDecoder
 
-    model_cfg, _, params, _ = load_checkpoint(args.ckpt)
+    model_cfg, _, params = load_checkpoint(args.ckpt)
     model = MegabyteDecoder(model_cfg, params)
     prompt = b""
     if args.prompt_file:
@@ -144,9 +136,9 @@ def _parse_size(raw: str) -> int:
     try:
         val = float(raw)
     except ValueError:
-        raise UsageError(f"malformed size {raw!r}") from None
+        raise ValueError(f"malformed size {raw!r}") from None
     if not math.isfinite(val) or val <= 0 or val != int(val):
-        raise UsageError(f"size must be a positive integer, got {raw!r}")
+        raise ValueError(f"size must be a positive integer, got {raw!r}")
     return int(val)
 
 
@@ -159,7 +151,7 @@ def _parse_spec(raw: str):
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             if not eq:
-                raise UsageError(f"malformed spec field {item!r}")
+                raise ValueError(f"malformed spec field {item!r}")
             fields[key.strip().lower()] = val.strip()
     try:
         return ArchSpec(
@@ -173,7 +165,7 @@ def _parse_spec(raw: str):
             l_local=int(fields.get("ll", 0)),
         )
     except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad spec {raw!r}: {exc}") from None
+        raise ValueError(f"bad spec {raw!r}: {exc}") from None
 
 
 def _cmd_cost(args) -> int:
@@ -184,19 +176,19 @@ def _cmd_cost(args) -> int:
     if args.seq_len_range:
         parts = args.seq_len_range.split(":")
         if len(parts) != 3:
-            raise UsageError("--seq-len-range must be MIN:MAX:MULT")
+            raise ValueError("--seq-len-range must be MIN:MAX:MULT")
         try:
             lo, hi, mult = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
-            raise UsageError("--seq-len-range must be integers") from None
+            raise ValueError("--seq-len-range must be integers") from None
         if lo < 1 or hi < lo or mult < 2:
-            raise UsageError("--seq-len-range needs 1 <= MIN <= MAX and MULT >= 2")
+            raise ValueError("--seq-len-range needs 1 <= MIN <= MAX and MULT >= 2")
         t = lo
         while t <= hi:
             seq_lens.append(t)
             t *= mult
     if not seq_lens:
-        raise UsageError("give --seq-len and/or --seq-len-range")
+        raise ValueError("give --seq-len and/or --seq-len-range")
     csv_text = sweep_to_csv(specs, seq_lens, masked=args.masked)
     if args.csv:
         Path(args.csv).write_text(csv_text)
@@ -210,26 +202,23 @@ def _cmd_scan(args) -> int:
     from .data import parse_ppm, patch_scan, patch_unscan, raster_scan, raster_unscan, write_ppm
 
     if args.mode == "patch" and args.patch_size is None:
-        raise UsageError("--mode patch requires --patch-size")
+        raise ValueError("--mode patch requires --patch-size")
     src = Path(args.ppm).read_bytes()
-    try:
-        if args.inverse:
-            if args.width is None or args.height is None:
-                raise UsageError("--inverse requires --width and --height")
-            if args.mode == "raster":
-                img = raster_unscan(src, args.height, args.width)
-            else:
-                img = patch_unscan(src, args.height, args.width, args.patch_size)
-            Path(args.out).write_bytes(write_ppm(img))
+    if args.inverse:
+        if args.width is None or args.height is None:
+            raise ValueError("--inverse requires --width and --height")
+        if args.mode == "raster":
+            img = raster_unscan(src, args.height, args.width)
         else:
-            img = parse_ppm(src)
-            if args.mode == "raster":
-                out = raster_scan(img)
-            else:
-                out = patch_scan(img, args.patch_size)
-            Path(args.out).write_bytes(out)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+            img = patch_unscan(src, args.height, args.width, args.patch_size)
+        Path(args.out).write_bytes(write_ppm(img))
+    else:
+        img = parse_ppm(src)
+        if args.mode == "raster":
+            out = raster_scan(img)
+        else:
+            out = patch_scan(img, args.patch_size)
+        Path(args.out).write_bytes(out)
     print(f"wrote {args.out}")
     return 0
 
@@ -247,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # Config, checkpoint, and shape problems are usage errors.
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,7 @@ keys are errors, parsing is order-independent, and the same text embeds in
 checkpoints so a saved model is self-describing. The keys are the fields
 of `ModelConfig`, then `TrainConfig`, with their types and defaults; a field
 with no default is a required key. Only `context_len` is renamed (key
-`context_length`), one `dropout` key feeds both configs, and `window_stride`
-(0 = context length) has no field: only data preparation reads it.
+`context_length`), and one `dropout` key feeds both configs.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ def _keys(cls, skip: tuple[str, ...] = ()) -> dict[str, tuple[type, object, str]
 
 
 MODEL_KEYS = _keys(ModelConfig)
-TRAIN_KEYS = {**_keys(TrainConfig, skip=("dropout",)), "window_stride": (int, 0, None)}
+TRAIN_KEYS = _keys(TrainConfig, skip=("dropout",))
 
 
 def _parse_value(key: str, typ: type, raw: str):
@@ -51,9 +50,16 @@ def _parse_value(key: str, typ: type, raw: str):
         raise ConfigError(f"key {key!r}: expected {typ.__name__}, got {raw!r}") from None
 
 
-def parse_config_text(text: str) -> dict[str, object]:
-    """Parse key=value lines (#-comments and blanks allowed) into a dict
-    of typed values, applying defaults and rejecting unknown keys."""
+def parse_config(data: bytes) -> tuple[ModelConfig, TrainConfig]:
+    """Parse UTF-8 key=value lines (#-comments and blanks allowed) into the
+    two configs, applying defaults and rejecting unknown keys.
+
+    The single dropout key drives both the model and the training rate.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     known = {**MODEL_KEYS, **TRAIN_KEYS}
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -73,40 +79,26 @@ def parse_config_text(text: str) -> dict[str, object]:
                if default is MISSING and k not in values]
     if missing:
         raise ConfigError(f"missing required key(s): {', '.join(missing)}")
-    return {k: values.get(k, default) for k, (_, default, _) in known.items()}
-
-
-def configs_from_values(values: dict[str, object]) -> tuple[ModelConfig, TrainConfig, int]:
-    """Build the two configs plus the window stride (0 = context length).
-
-    The single dropout key drives both the model and the training rate.
-    """
+    values = {k: values.get(k, default) for k, (_, default, _) in known.items()}
     try:
         model_cfg = ModelConfig(**{field: values[key]
                                    for key, (_, _, field) in MODEL_KEYS.items()})
         train_cfg = TrainConfig(dropout=values["dropout"],
                                 **{field: values[key]
-                                   for key, (_, _, field) in TRAIN_KEYS.items()
-                                   if field is not None})
+                                   for key, (_, _, field) in TRAIN_KEYS.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    stride = int(values["window_stride"])
-    if not 0 <= stride <= model_cfg.context_len:
+    if train_cfg.window_stride > model_cfg.context_len:
         raise ConfigError(f"window_stride must be in [0, context_length={model_cfg.context_len}]")
-    return model_cfg, train_cfg, stride
+    return model_cfg, train_cfg
 
 
-def load_config(path) -> tuple[ModelConfig, TrainConfig, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
-    return configs_from_values(parse_config_text(text))
+def load_config(path) -> tuple[ModelConfig, TrainConfig]:
+    with open(path, "rb") as fh:
+        return parse_config(fh.read())
 
 
-def config_to_text(model_cfg: ModelConfig, train_cfg: TrainConfig,
-                   window_stride: int = 0) -> str:
+def config_to_text(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
     """Serialize both configs to the key=value form, in field order.
 
     The shared dropout key takes the training-time rate (the value that
@@ -115,8 +107,7 @@ def config_to_text(model_cfg: ModelConfig, train_cfg: TrainConfig,
     lines = []
     for key, (typ, _, field) in {**MODEL_KEYS, **TRAIN_KEYS}.items():
         owner = train_cfg if key in TRAIN_KEYS or key == "dropout" else model_cfg
-        val = window_stride if field is None else getattr(owner, field)
-        lines.append(f"{key}={_format(typ, val)}")
+        lines.append(f"{key}={_format(typ, getattr(owner, field))}")
     return "\n".join(lines) + "\n"
 
 

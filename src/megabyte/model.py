@@ -175,9 +175,6 @@ class Parameters:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def items(self):
         return self._tensors.items()
 
@@ -321,7 +318,7 @@ class MegabyteDecoder:
             if cfg.conv_active:
                 for w in CONV_WIDTHS:
                     emb = emb + _causal_conv(emb, p[f"conv{w}"]).relu()
-            rows.append(emb[:, (first - 1) * ps - lo:(k1 - 1) * ps].reshape(b, k1 - first, m))
+            rows.append(emb[:, (first - 1) * ps - lo:(k1 - 1) * ps - lo].reshape(b, k1 - first, m))
         return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
 
     # -- transformer stacks ----------------------------------------------

@@ -29,9 +29,10 @@ class TrainingDiverged(FloatingPointError):
 @dataclass
 class TrainConfig:
     """Optimizer and schedule settings. Update counts, rates, clip_norm,
-    weight_decay, dropout and seed must be finite and >= 0, warmup_updates <=
-    total_updates, batch_size >= 1, each Adam beta in [0, 1) and adam_eps
-    finite and > 0, so NaN and inf are rejected."""
+    weight_decay, dropout, seed and window_stride must be finite and >= 0,
+    warmup_updates <= total_updates, batch_size >= 1, each Adam beta in
+    [0, 1) and adam_eps finite and > 0, so NaN and inf are rejected.
+    window_stride is the step between training windows (0 = context length)."""
 
     peak_lr: float
     total_updates: int
@@ -47,9 +48,11 @@ class TrainConfig:
     adam_beta2: float = ADAM_BETA2
     adam_eps: float = ADAM_EPS
 
+    window_stride: int = 0
+
     def __post_init__(self):
         for name in ("total_updates", "warmup_updates", "peak_lr", "end_lr", "clip_norm",
-                     "weight_decay", "dropout", "seed"):
+                     "weight_decay", "dropout", "seed", "window_stride"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
         for name in ("adam_beta1", "adam_beta2"):

@@ -16,14 +16,9 @@ from megabyte.checkpoint import (
     save_checkpoint,
 )
 from megabyte.cli import main
-from megabyte.config import (
-    ConfigError,
-    config_to_text,
-    configs_from_values,
-    load_config,
-    parse_config_text,
-)
-from megabyte.model import ModelConfig
+from megabyte.config import ConfigError, config_to_text, load_config, parse_config
+from megabyte.inference import generate
+from megabyte.model import MegabyteDecoder, ModelConfig
 from megabyte.training import TrainConfig, init_weights
 
 TOY_CONFIG = """\
@@ -115,7 +110,7 @@ def test_train_unusable_value_exit2(workdir, capsys, key, value):
     # silently without decay) and exited 0.
     text = re.sub(rf"^{key} = .*\n", "", TOY_CONFIG, flags=re.M) + f"{key} = {value}\n"
     with pytest.raises(ConfigError, match=key):
-        configs_from_values(parse_config_text(text))
+        parse_config(text.encode())
     (workdir / "run.cfg").write_text(text)
     assert _train(workdir) == 2
     err = capsys.readouterr().err
@@ -127,7 +122,8 @@ def test_train_unusable_value_exit2(workdir, capsys, key, value):
     ("seed = -1", (), "seed"),
     ("seed = 7", ("--seed", "-1"), "seed"),
     ("seed = 7\nwindow_stride = 1000", (), "window_stride"),
-], ids=["seed_key", "seed_flag", "window_stride"])
+    ("seed = 7\nwindow_stride = -1", (), "window_stride"),
+], ids=["seed_key", "seed_flag", "window_stride", "window_stride_negative"])
 def test_train_bad_seed_or_stride_exit2(workdir, capsys, edit, extra, key):
     # Each once exited 2 with a numpy or make_windows message that did not
     # name the key.
@@ -250,6 +246,17 @@ def test_generate_non_finite_temperature_exit2(tmp_path, capsys, temp):
     assert not (tmp_path / "x.bin").exists()
 
 
+def test_generate_prompt_file_continues_prompt(workdir):
+    assert _train(workdir) == 0
+    (workdir / "prompt.bin").write_bytes(b"hello")
+    rc = main(["generate", "--ckpt", str(workdir / "model.ckpt"), "--length", "6",
+               "--prompt-file", str(workdir / "prompt.bin"), "--out", str(workdir / "g.bin")])
+    assert rc == 0
+    mc, _, params = load_checkpoint(workdir / "model.ckpt")
+    expected = generate(MegabyteDecoder(mc, params), b"hello", 6).data
+    assert (workdir / "g.bin").read_bytes() == expected
+
+
 def test_generate_trace_serial_steps_match_formula(workdir):
     assert _train(workdir) == 0
     rc = main(["generate", "--ckpt", str(workdir / "model.ckpt"),
@@ -305,6 +312,18 @@ def test_cost_non_finite_size_exit2(capsys, spec):
 def test_cost_negative_count_exit2(capsys, spec, field):
     assert main(["cost", "--spec", spec, "--seq-len", "64"]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--spec", "transformer:m=8", "--seq-len-range", "8:64"],
+    ["--spec", "transformer:m=8", "--seq-len-range", "8:x:2"],
+    ["--spec", "transformer:m=8", "--seq-len-range", "64:8:2"],
+    ["--spec", "transformer:m=8,l", "--seq-len", "64"],
+], ids=["range-parts", "range-not-int", "range-order", "spec-field"])
+def test_cost_usage_error_exit2(capsys, argv):
+    assert main(["cost", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # -- scan -------------------------------------------------------------------------------------
@@ -372,6 +391,20 @@ def test_scan_inverse_rejects_an_empty_image(workdir, capsys, mode, dims):
     assert not (workdir / "out.ppm").exists()
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["--mode", "patch"], "--patch-size"),
+    (["--mode", "raster", "--inverse", "--width", "4"], "--width and --height"),
+], ids=["patch-without-size", "inverse-without-dims"])
+def test_scan_usage_error_exit2(workdir, capsys, argv, match):
+    _write_ppm(workdir / "img.ppm", 4, 4)
+    rc = main(["scan", "--ppm", str(workdir / "img.ppm"), *argv,
+               "--out", str(workdir / "out.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and match in err and "Traceback" not in err
+    assert not (workdir / "out.bin").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--ckpt", "{dir}", "--data", "{dir}/corpus.bin"],
     ["scan", "--ppm", "{dir}", "--mode", "raster", "--out", "{dir}/seq.bin"],
@@ -389,7 +422,8 @@ def _toy_pair():
                      global_layers=1, local_layers=1, vocab_size=19,
                      conv_encoder=True, cross_patch_window=2, dropout=0.05)
     tc = TrainConfig(peak_lr=0.5, total_updates=10, batch_size=3,
-                     warmup_updates=4, weight_decay=0.2, seed=11, dropout=0.05)
+                     warmup_updates=4, weight_decay=0.2, seed=11, dropout=0.05,
+                     window_stride=4)
     return mc, tc
 
 
@@ -397,9 +431,9 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     mc, tc = _toy_pair()
     params = init_weights(mc, seed=5)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, mc, tc, params, window_stride=8)
-    mc2, tc2, params2, stride = load_checkpoint(path)
-    assert mc2 == mc and tc2 == tc and stride == 8
+    save_checkpoint(path, mc, tc, params)
+    mc2, tc2, params2 = load_checkpoint(path)
+    assert mc2 == mc and tc2 == tc
     assert [n for n, _ in params2.items()] == [n for n, _ in params.items()]
     for name, t in params.items():
         assert np.array_equal(params2[name].data, t.data)
@@ -499,7 +533,7 @@ def test_checkpoint_bit_flips_raise_or_change_nothing(tmp_path):
     mc, tc = _toy_pair()
     params = init_weights(mc, 0)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, mc, tc, params, window_stride=4)
+    save_checkpoint(path, mc, tc, params)
     blob = path.read_bytes()
     rng = np.random.default_rng(0)
     for _ in range(300):
@@ -511,8 +545,8 @@ def test_checkpoint_bit_flips_raise_or_change_nothing(tmp_path):
             loaded = load_checkpoint(path)
         except CheckpointError:
             continue
-        mc2, tc2, params2, stride = loaded
-        assert (mc2, tc2, stride) == (mc, tc, 4)
+        mc2, tc2, params2 = loaded
+        assert (mc2, tc2) == (mc, tc)
         assert [n for n, _ in params2.items()] == [n for n, _ in params.items()]
         for name, t in params.items():
             assert params2[name].data.dtype == t.data.dtype
@@ -601,14 +635,10 @@ def test_checkpoint_surfaces_optimizer_constants(tmp_path):
 
 def test_config_round_trip():
     mc, tc = _toy_pair()
-    text = config_to_text(mc, tc, window_stride=4)
-    values = parse_config_text(text)
-    from megabyte.config import configs_from_values
-    mc2, tc2, stride = configs_from_values(values)
-    assert mc2 == mc and tc2 == tc and stride == 4
+    assert parse_config(config_to_text(mc, tc).encode()) == (mc, tc)
 
 
-# `config_to_text(*_toy_pair(), 4)` as written before keys followed field
+# `config_to_text(*_toy_pair())` as written before keys followed field
 # order: vocab_size came first.
 VOCAB_FIRST_TEXT = """\
 vocab_size=19
@@ -642,38 +672,38 @@ window_stride=4
 
 def test_config_in_vocab_first_order_still_loads(tmp_path):
     mc, tc = _toy_pair()
-    text = config_to_text(mc, tc, window_stride=4)
+    text = config_to_text(mc, tc)
     assert text.splitlines()[6] == "vocab_size=19"
     assert sorted(text.splitlines()) == sorted(VOCAB_FIRST_TEXT.splitlines())
-    old = configs_from_values(parse_config_text(VOCAB_FIRST_TEXT))
-    assert old == configs_from_values(parse_config_text(text)) == (mc, tc, 4)
+    old = parse_config(VOCAB_FIRST_TEXT.encode())
+    assert old == parse_config(text.encode()) == (mc, tc)
 
     params = init_weights(mc, 0)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, mc, tc, params, window_stride=4)
+    save_checkpoint(path, mc, tc, params)
     members = _members(path)
     assert members["config"].tobytes() == text.encode()
     members["config"] = np.frombuffer(VOCAB_FIRST_TEXT.encode(), dtype=np.uint8)
     path.write_bytes(_archive(members))
-    mc2, tc2, params2, stride = load_checkpoint(path)
-    assert (mc2, tc2, stride) == (mc, tc, 4)
+    mc2, tc2, params2 = load_checkpoint(path)
+    assert (mc2, tc2) == (mc, tc)
     for name, t in params.items():
         assert np.array_equal(params2[name].data, t.data)
 
 
 def test_config_rejects_duplicates_and_garbage():
     with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("vocab_size=1\nvocab_size=2\n" + TOY_CONFIG)
+        parse_config(("vocab_size=1\nvocab_size=2\n" + TOY_CONFIG).encode())
     with pytest.raises(ConfigError, match="key=value"):
-        parse_config_text("what is this line")
+        parse_config(b"what is this line")
     with pytest.raises(ConfigError, match="boolean"):
-        parse_config_text(TOY_CONFIG + "no_local = maybe\n")
+        parse_config((TOY_CONFIG + "no_local = maybe\n").encode())
 
 
 def test_config_order_independent():
     lines = [l for l in TOY_CONFIG.splitlines() if l and not l.startswith("#")]
-    a = parse_config_text("\n".join(lines))
-    b = parse_config_text("\n".join(reversed(lines)))
+    a = parse_config("\n".join(lines).encode())
+    b = parse_config("\n".join(reversed(lines)).encode())
     assert a == b
 
 

@@ -122,6 +122,8 @@ def test_embed_global_patch_range_matches_whole_sequence(conv):
         for k0 in range(k1):
             part = m.embed_global(ids[:, :(k1 - 1) * 4], k0, k1).data
             assert np.array_equal(part, whole[:, k0:k1]), (k0, k1)
+            uncut = m.embed_global(ids, k0, k1).data
+            assert np.array_equal(uncut, whole[:, k0:k1]), (k0, k1)
 
 
 # -- causal conv: the patch encoder's filters, one matmul per tap ---------------------
@@ -391,6 +393,13 @@ def test_forward_shape_law():
         assert m.forward(ids).shape == (cfg.context_len, cfg.vocab_size)
 
 
+@pytest.mark.parametrize("t", [6, 12], ids=["not-a-patch-multiple", "past-context"])
+def test_forward_rejects_bad_length(t):
+    m = build(toy_config())
+    with pytest.raises(ValueError, match="input length"):
+        m.forward(np.zeros(t, dtype=np.int64))
+
+
 RANGE_VARIANTS = [
     dict(),
     dict(conv_encoder=True),
@@ -477,6 +486,15 @@ def test_count_params_splits_halves():
     total = sum(int(np.prod(shape)) for _, shape, _, _ in parameter_spec(cfg))
     assert c["global"] + c["local"] + c["embed"] == total
     assert c["global"] > 0 and c["local"] > 0
+
+
+def test_count_params_puts_conv_filters_in_global_half():
+    plain, conv = toy_config(), toy_config(conv_encoder=True)
+    filters = sum(int(np.prod(shape)) for name, shape, _, _ in parameter_spec(conv)
+                  if name.startswith("conv"))
+    assert filters > 0
+    assert count_params(conv) == {**count_params(plain),
+                                  "global": count_params(plain)["global"] + filters}
 
 
 # -- end-to-end gradients ---------------------------------------------------------

@@ -316,6 +316,23 @@ def test_attention_heads_must_divide_dim(heads):
         T.causal_attention(x, x, x, heads)
 
 
+@pytest.mark.parametrize("q_shape, k_shape, v_shape", [
+    ((2, 3, 4), (1, 3, 4), (1, 3, 4)),   # leading dims differ
+    ((1, 3, 4), (1, 3, 4), (1, 2, 4)),   # k and v differ
+    ((1, 3, 6), (1, 3, 4), (1, 3, 4)),   # q's width differs
+], ids=["lead", "k-v", "width"])
+def test_attention_rejects_shape_mismatch(q_shape, k_shape, v_shape):
+    q, k, v = (Tensor(np.zeros(s)) for s in (q_shape, k_shape, v_shape))
+    with pytest.raises(ValueError, match="attention shape mismatch"):
+        T.causal_attention(q, k, v)
+
+
+def test_attention_rotary_needs_even_head_dim():
+    x = Tensor(np.zeros((1, 3, 6)))
+    with pytest.raises(ValueError, match="even head dim"):
+        T.causal_attention(x, x, x, heads=2, rotary=True)
+
+
 # -- layer norm -----------------------------------------------------------------
 
 def test_layer_norm_constant_slice_is_zero():
