@@ -12,6 +12,13 @@ Every product with a weight matrix, the conv encoder's filter taps
 included, runs in matmul.
 Every array is float64, the precision the gradient checks are stated for.
 
+Op contract: an op computes its output and its backward, a closure
+`_bp(g)` that adds the output's gradient g into its inputs' grads, and
+hands both to `_result`, which keeps the backward only when it records
+(grad on, some input tracked); a value only backward needs is computed
+in `_bp`. The closure exists before its output, so it cannot refer to
+the node that holds it, and reference counting frees every graph.
+
 A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread. The exception
 is the decode key/value buffers of `model.KVCache`: `append` and
@@ -110,14 +117,15 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
-        # A first gradient that owns its memory is adopted, not copied: no
-        # backward closure keeps an array it hands over, or hands it twice.
+        # A first gradient that owns its memory is adopted: no backward keeps
+        # an array it hands over, or hands it twice. Any other is copied in its
+        # own layout, which sets grad_global_norm's summation order.
         if self.grad is not None:
             self.grad += g
-        elif g.flags.owndata and g.flags.writeable and g.dtype == self.data.dtype:
+        elif g.flags.owndata and g.flags.writeable:
             self.grad = g
         else:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.copy(g)
 
     def backward(self) -> None:
         """Populate the grads of every reachable leaf by reverse traversal.
@@ -160,78 +168,55 @@ class Tensor:
 
     def __add__(self, other):
         other = _as_tensor(other)
-        out = _result(np.add(self.data, other.data), (self, other), "add")
-        if out._prev:
-            def _bp(g):
-                gs = None
-                if _tracked(self):
-                    gs = _unbroadcast(g, self.shape)
-                    self._accum(gs)
-                if _tracked(other):
-                    go = _unbroadcast(g, other.shape)
-                    # _accum may adopt gs, so other must not get the same array.
-                    other._accum(go.copy() if go is gs else go)
-            out._backprop = _bp
-        return out
+        def _bp(g):
+            gs = None
+            if _tracked(self):
+                gs = _unbroadcast(g, self.shape)
+                self._accum(gs)
+            if _tracked(other):
+                go = _unbroadcast(g, other.shape)
+                # _accum may adopt gs, so other must not get the same array.
+                other._accum(go.copy() if go is gs else go)
+        return _result(np.add(self.data, other.data), (self, other), "add", _bp)
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        out = _result(np.multiply(self.data, other.data), (self, other), "mul")
-        if out._prev:
-            def _bp(g):
-                if _tracked(self):
-                    self._accum(_unbroadcast(g * other.data, self.shape))
-                if _tracked(other):
-                    other._accum(_unbroadcast(g * self.data, other.shape))
-            out._backprop = _bp
-        return out
+        def _bp(g):
+            if _tracked(self):
+                self._accum(_unbroadcast(g * other.data, self.shape))
+            if _tracked(other):
+                other._accum(_unbroadcast(g * self.data, other.shape))
+        return _result(np.multiply(self.data, other.data), (self, other), "mul", _bp)
 
     def relu(self) -> "Tensor":
-        out = _result(np.maximum(self.data, 0.0), (self,), "relu")
-        if out._prev:
-            def _bp(g):
-                self._accum(g * (self.data > 0))
-            out._backprop = _bp
-        return out
+        def _bp(g):
+            self._accum(g * (self.data > 0))
+        return _result(np.maximum(self.data, 0.0), (self,), "relu", _bp)
 
     def reshape(self, *shape: int) -> "Tensor":
-        out = _result(self.data.reshape(shape), (self,), "reshape")
-        if out._prev:
-            def _bp(g):
-                self._accum(g.reshape(self.shape))
-            out._backprop = _bp
-        return out
+        def _bp(g):
+            self._accum(g.reshape(self.shape))
+        return _result(self.data.reshape(shape), (self,), "reshape", _bp)
 
     def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        out = _result(np.transpose(self.data, axes), (self,), "transpose")
-        if out._prev:
-            inv = np.argsort(axes)
-            def _bp(g):
-                self._accum(np.transpose(g, inv))
-            out._backprop = _bp
-        return out
+        def _bp(g):
+            self._accum(np.transpose(g, np.argsort(axes)))
+        return _result(np.transpose(self.data, axes), (self,), "transpose", _bp)
 
     def __getitem__(self, key) -> "Tensor":
-        # The backward's `full[key] += g` adds once per element, so the key
-        # must pick each element at most once: true of basic slices, and of
-        # integer-array keys without repeats, as the loss's (position,
-        # target) pairs are.
-        out = _result(self.data[key], (self,), "slice")
-        if out._prev:
-            def _bp(g):
-                full = np.zeros_like(self.data)
-                full[key] += g
-                self._accum(full)
-            out._backprop = _bp
-        return out
+        # The backward adds g in place to the parent's grad, which _accum owns
+        # alone. `+=` adds once per element, so the key must pick each at most
+        # once, as basic slices and the loss's (position, target) pairs do.
+        def _bp(g):
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[key] += g
+        return _result(self.data[key], (self,), "slice", _bp)
 
     def sum(self) -> "Tensor":
-        out = _result(self.data.sum(), (self,), "sum")
-        if out._prev:
-            def _bp(g):
-                self._accum(np.broadcast_to(g, self.shape))
-            out._backprop = _bp
-        return out
+        def _bp(g):
+            self._accum(np.broadcast_to(g, self.shape))
+        return _result(self.data.sum(), (self,), "sum", _bp)
 
 
 def _as_tensor(x) -> Tensor:
@@ -242,12 +227,13 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or bool(t._prev)
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str) -> Tensor:
+def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backprop) -> Tensor:
     if _CHECK_OPS:
         _check_finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(_tracked(p) for p in parents):
         out._prev = parents
+        out._backprop = backprop
     return out
 
 
@@ -275,45 +261,36 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.shape != (n,):
             raise ValueError(f"matmul bias must be ({n},) for {a.shape} @ {b.shape}, got {bias.shape}")
         data += bias.data
-    out = _result(data, (a, b) if bias is None else (a, b, bias), "matmul")
-    if out._prev:
-        def _bp(g):
-            if _tracked(a):
-                a._accum(g @ b.data.T)
-            g2 = g.reshape(-1, n)
-            if _tracked(b):
-                b._accum(a.data.reshape(-1, k).T @ g2)
-            if bias is not None and _tracked(bias):
-                bias._accum(g2.sum(axis=0))
-        out._backprop = _bp
-    return out
+    def _bp(g):
+        if _tracked(a):
+            a._accum(g @ b.data.T)
+        g2 = g.reshape(-1, n)
+        if _tracked(b):
+            b._accum(a.data.reshape(-1, k).T @ g2)
+        if bias is not None and _tracked(bias):
+            bias._accum(g2.sum(axis=0))
+    return _result(data, (a, b) if bias is None else (a, b, bias), "matmul", _bp)
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat")
-    if out._prev:
-        sizes = [t.shape[axis] for t in tensors]
-        def _bp(g):
-            offset = 0
-            for t, n in zip(tensors, sizes):
-                if _tracked(t):
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(offset, offset + n)
-                    t._accum(g[tuple(idx)])
-                offset += n
-        out._backprop = _bp
-    return out
+    def _bp(g):
+        offset = 0
+        for t in tensors:
+            n = t.shape[axis]
+            if _tracked(t):
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(offset, offset + n)
+                t._accum(g[tuple(idx)])
+            offset += n
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat", _bp)
 
 
 def broadcast_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
     t = _as_tensor(t)
-    out = _result(np.broadcast_to(t.data, shape).copy(), (t,), "broadcast_to")
-    if out._prev:
-        def _bp(g):
-            t._accum(_unbroadcast(g, t.shape))
-        out._backprop = _bp
-    return out
+    def _bp(g):
+        t._accum(_unbroadcast(g, t.shape))
+    return _result(np.broadcast_to(t.data, shape).copy(), (t,), "broadcast_to", _bp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -321,27 +298,21 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValueError("embedding id out of range")
-    out = _result(table.data[ids], (table,), "embedding")
-    if out._prev:
-        def _bp(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            table._accum(gt)
-        out._backprop = _bp
-    return out
+    def _bp(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        table._accum(gt)
+    return _result(table.data[ids], (table,), "embedding", _bp)
 
 
 def log_softmax_last(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = _result(shifted - logz, (x,), "log_softmax_last")
-    if out._prev:
-        sm = np.exp(out.data)
-        def _bp(g):
-            x._accum(g - sm * g.sum(axis=-1, keepdims=True))
-        out._backprop = _bp
-    return out
+    data = shifted - logz
+    def _bp(g):
+        x._accum(g - np.exp(data) * g.sum(axis=-1, keepdims=True))
+    return _result(data, (x,), "log_softmax_last", _bp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -358,26 +329,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
-    out = _result(data, (x, gain, bias), "layer_norm")
-    if out._prev:
+    def _bp(g):
         lead = tuple(range(x.ndim - 1))
-        def _bp(g):
-            if _tracked(gain):
-                gain._accum((g * xhat).sum(axis=lead))
-            if _tracked(bias):
-                bias._accum(g.sum(axis=lead))
-            if _tracked(x):
-                # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in place
-                gh = g * gain.data
-                t = gh * xhat
-                m = np.add.reduce(t, axis=-1, keepdims=True) / d
-                np.multiply(xhat, m, out=t)
-                gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
-                gh -= t
-                gh *= inv
-                x._accum(gh)
-        out._backprop = _bp
-    return out
+        if _tracked(gain):
+            gain._accum((g * xhat).sum(axis=lead))
+        if _tracked(bias):
+            bias._accum(g.sum(axis=lead))
+        if _tracked(x):
+            # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in place
+            gh = g * gain.data
+            t = gh * xhat
+            m = np.add.reduce(t, axis=-1, keepdims=True) / d
+            np.multiply(xhat, m, out=t)
+            gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
+            gh -= t
+            gh *= inv
+            x._accum(gh)
+    return _result(data, (x, gain, bias), "layer_norm", _bp)
 
 
 def _rotation(positions: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -453,22 +421,19 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
 
-    out = _result(merge(np.matmul(weights, vh)), (q, k, v), "causal_attention")
-    if out._prev:
-        def _bp(g):
-            g = split(g)
-            gw = np.matmul(g, np.swapaxes(vh, -1, -2))
-            gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
-            if _tracked(k):
-                gkr = np.matmul(np.swapaxes(gs, -1, -2), qr) * scale
-                k._accum(merge(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr))
-            if _tracked(v):
-                v._accum(merge(np.matmul(np.swapaxes(weights, -1, -2), g)))
-            if _tracked(q):
-                gqr = np.matmul(gs, kr) * scale
-                q._accum(merge(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr))
-        out._backprop = _bp
-    return out
+    def _bp(g):
+        g = split(g)
+        gw = np.matmul(g, np.swapaxes(vh, -1, -2))
+        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+        if _tracked(k):
+            gkr = np.matmul(np.swapaxes(gs, -1, -2), qr) * scale
+            k._accum(merge(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr))
+        if _tracked(v):
+            v._accum(merge(np.matmul(np.swapaxes(weights, -1, -2), g)))
+        if _tracked(q):
+            gqr = np.matmul(gs, kr) * scale
+            q._accum(merge(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr))
+    return _result(merge(np.matmul(weights, vh)), (q, k, v), "causal_attention", _bp)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -5,6 +5,7 @@ import ast
 import gc
 import re
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -170,6 +171,20 @@ def test_log_softmax_grad_finite_differences():
         return {"x": tx, "loss": (T.log_softmax_last(tx) * Tensor(w)).sum()}
 
     _check_grads(build, {"x": x}, tol=1e-6, floor=1e-6)
+
+
+def test_log_softmax_holds_only_its_output_until_backward():
+    # Backward recomputes the softmax from the output; no second
+    # (B, T, 256) array lives between forward and backward.
+    x = Tensor(np.random.default_rng(5).normal(size=(16, 128, 256)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.log_softmax_last(x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.data.nbytes <= held < 1.1 * out.data.nbytes, held / out.data.nbytes
 
 
 # -- causal attention ----------------------------------------------------------
@@ -447,6 +462,35 @@ def test_graph_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_only_result_records_a_backward():
+    # An op hands its backward to _result and never sets _prev or
+    # _backprop itself, so no closure can hold the node it belongs to.
+    with open(T.__file__) as fh:
+        tree = ast.parse(fh.read())
+    setters = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, ast.Attribute) and t.attr in ("_prev", "_backprop"):
+                setters.add((scope, t.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    assert setters == {("Tensor.__init__", "_prev"), ("Tensor.__init__", "_backprop"),
+                       ("_result", "_prev"), ("_result", "_backprop")}
+
+
 def test_backward_keeps_only_leaf_gradients():
     rng = np.random.default_rng(3)
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -562,6 +606,32 @@ def test_slice_grad_scatters():
     x[2:5].sum().backward()
     expect = np.zeros(10)
     expect[2:5] = 1.0
+    assert np.array_equal(x.grad, expect)
+
+
+@pytest.mark.parametrize("slices_first", [True, False])
+def test_slices_add_in_place_onto_one_gradient(slices_first):
+    # Two overlapping slices, an integer-array pick and a whole-tensor
+    # product read one parent. With the product's backward first, the
+    # slices add onto the gradient it handed over and the parent adopted;
+    # otherwise the first slice starts the buffer. Integer weights make
+    # every sum exact, so the order of the additions cannot change a bit.
+    rng = np.random.default_rng(19)
+    w = [rng.integers(-4, 5, size=s).astype(np.float64) for s in ((2, 6), (4, 3), (3,), (4, 6))]
+    rows, cols = np.array([0, 1, 3]), np.array([5, 2, 2])
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    terms = [(x[1:3] * Tensor(w[0])).sum(), (x[:, 2:5] * Tensor(w[1])).sum(),
+             (x[rows, cols] * Tensor(w[2])).sum()]
+    whole = (x * Tensor(w[3])).sum()
+    terms = terms + [whole] if slices_first else [whole] + terms
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = loss + t
+    loss.backward()
+    expect = w[3].copy()
+    expect[1:3] += w[0]
+    expect[:, 2:5] += w[1]
+    expect[rows, cols] += w[2]
     assert np.array_equal(x.grad, expect)
 
 
