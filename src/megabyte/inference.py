@@ -10,9 +10,9 @@ within-patch positions kept; under cross-patch attention every patch is
 kept through the global half and the local stack, since each patch's slots
 read the patch before. Generation decodes autoregressively with a
 per-patch global cache and a per-byte local cache, through the model's own
-input builders (`embed_global`, `combine_for_local`); a prompt's patches
-are all known, so they share one global call. `generate` counts the
-modeled serial steps of each decoded byte.
+input builders (`embed_global`, `combine_for_local`); the prompt and the
+first decoded byte share one global call. `generate` counts the modeled
+serial steps of each decoded byte.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ class _Decoder:
     cache per layer in use, the next position to run and the tail patch's
     global conditioning. Each local cache holds one patch, led by its r
     cross-patch slots (`KVCache(P, lead=r)`). The inputs and the layer math
-    are the model's own, and the prompt and each decoded byte go through
-    the same `advance`."""
+    are the model's own, and every decoded byte goes through one `advance`;
+    the first byte's call also runs the whole prompt."""
 
     def __init__(self, model: MegabyteDecoder, prompt: bytes):
         self.model = model
@@ -169,26 +169,24 @@ class _Decoder:
         self.local_kv = [KVCache(p, lead=r) for _ in range(model._depth("l"))]
         self.slices: Tensor | None = None   # (1, 1, P, D_L) projected global output
 
-    def advance(self, end: int) -> np.ndarray | None:
-        """Run positions pos..end-1 and return the log-prob row of position
-        end - 1 (None if there are none). Position t reads the bytes before it.
+    def advance(self, end: int) -> np.ndarray:
+        """Run positions pos..end-1 (end > pos) and return the log-prob row of
+        position end - 1. Position t reads the bytes before it.
 
         Every patch that starts in [pos, end) goes through one
         `embed_global` and one global call, since its input bytes are all
-        known: a prompt costs one call, and a decoded byte that starts a
-        patch is the one-row case. Every global layer caches the keys and
-        values of every new patch, but the last one computes queries only
-        for the patches read. The local stack runs only on rows a later
-        position or the returned row reads: those of the tail patch. Under
-        cross-patch attention each patch's slots are the local keys and
-        values of the patch before, so there it runs once on every patch
-        that [pos, end) touches, and reads each one's global output.
+        known: the prompt and the first decoded byte share one call, and a
+        later byte that starts a patch is the one-row case. Every global
+        layer caches the keys and values of every new patch, but the last
+        one computes queries only for the patches read. The local stack
+        runs only on rows a later position or the returned row reads: those
+        of the tail patch. Under cross-patch attention each patch's slots
+        are the local keys and values of the patch before, so there it runs
+        once on every patch that [pos, end) touches, and reads each one's
+        global output.
         """
         model, p = self.model, self.model.config.patch_size
-        start = self.pos
-        if end <= start:
-            return None
-        self.pos = end
+        start, self.pos = self.pos, end
         k0, k1 = -(-start // p), -(-end // p)
         last = (end - 1) // p
         first = start // p if model.config.cross_patch_active else last
@@ -217,11 +215,12 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
 
     temperature 0 is greedy (deterministic); the global model advances
     once per patch against its cache, the local model once per byte. The
-    prompt goes through the same caches first: all of its patches in one
-    global call, and the local model only on the patch it ends in (every
-    prompt patch under cross-patch attention). Each decoded byte adds L_L
-    modeled serial steps, plus L_G when it starts a patch; prefill adds none.
-    A non-finite decoded row reruns the call (same seed) to name the op.
+    first byte's call runs the prompt too: all of their patches in one
+    global call, and the local model only on the patch the first byte is in
+    (every patch under cross-patch attention). n_bytes = 0 runs no model
+    call. Each decoded byte at position t adds L_L modeled serial steps,
+    plus L_G when t starts a patch; the prompt adds none. A non-finite
+    decoded row reruns the call (same seed) to name the op.
     """
     cfg = model.config
     if n_bytes < 0:
@@ -238,10 +237,9 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
 
     with T.no_grad():
         dec = _Decoder(model, prompt)
-        dec.advance(len(prompt))
-        for _ in range(n_bytes):
-            steps += len(dec.local_kv) + len(dec.global_kv) * (dec.pos % cfg.patch_size == 0)
-            row = dec.advance(dec.pos + 1)
+        for t in range(len(prompt), len(prompt) + n_bytes):
+            steps += len(dec.local_kv) + len(dec.global_kv) * (t % cfg.patch_size == 0)
+            row = dec.advance(t + 1)
             T._check_finite(row, "decoding")
             if temperature == 0.0:
                 byte = int(np.argmax(row))
@@ -255,7 +253,7 @@ def generate(model: MegabyteDecoder, prompt: bytes, n_bytes: int,
             out.append(byte)
             logprobs.append(float(row[byte]))
             cum_steps.append(steps)
-            dec.ids[0, dec.pos - 1] = byte
+            dec.ids[0, t] = byte
 
     return GenTrace(data=bytes(out), logprobs=np.asarray(logprobs),
                     serial_steps=np.asarray(cum_steps, dtype=np.int64),

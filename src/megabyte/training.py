@@ -83,12 +83,13 @@ def init_weights(cfg: ModelConfig, seed: int) -> Parameters:
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, bound_sigmas: float) -> np.ndarray:
+    """Redraw entries beyond bound_sigmas * std, re-testing only those redrawn."""
     out = rng.normal(0.0, std, size=shape)
-    bound = bound_sigmas * std
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > bound
+    flat, bound = out.reshape(-1), bound_sigmas * std
+    redraw = np.flatnonzero(np.abs(flat) > bound)
+    while redraw.size:
+        flat[redraw] = rng.normal(0.0, std, size=redraw.size)
+        redraw = redraw[np.abs(flat[redraw]) > bound]
     return out
 
 
@@ -109,7 +110,8 @@ def grad_global_norm(params: Parameters) -> float:
     total = 0.0
     for _, t in params.items():
         if t.grad is not None:
-            total += float(np.sum(np.square(t.grad, dtype=np.float64)))
+            # C order, so the sum's rounding does not depend on memory layout.
+            total += float(np.sum(np.square(np.ascontiguousarray(t.grad), dtype=np.float64)))
     return math.sqrt(total)
 
 

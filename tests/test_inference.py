@@ -367,34 +367,70 @@ def test_prompt_prefill_is_one_global_call(monkeypatch, prompt_len):
     m = build(cfg, seed=23)
     prompt = bytes(range(prompt_len))
     generate(m, prompt, 0)
-    assert calls.count("g") == 1
-    assert calls.count("l") <= 1
-    assert len(embeds) == 1
+    assert calls == [] and embeds == []
+    # The first byte's call runs the prompt too, so only later patch starts
+    # add a global call.
     for n in (1, 5, 32 - prompt_len):
         calls.clear()
         embeds.clear()
         generate(m, prompt, n, temperature=0.0)
-        starts = sum(1 for t in range(prompt_len, prompt_len + n) if t % cfg.patch_size == 0)
+        starts = sum(1 for t in range(prompt_len + 1, prompt_len + n) if t % cfg.patch_size == 0)
         assert calls.count("g") == 1 + starts, n
         assert len(embeds) == calls.count("g"), n
+        if n == 1:
+            assert calls.count("l") == 1
+
+
+@pytest.mark.parametrize("prompt_len", [0, 4, 16])
+def test_patch_aligned_prompt_runs_its_first_byte_in_the_same_calls(monkeypatch, prompt_len):
+    # The first byte starts a patch: it rides in the prompt's global call as
+    # one more row, and the local stack runs on that one row only.
+    calls = []
+    real = MegabyteDecoder._stack
+
+    def recorded(self, scope, x, *args, **kwargs):
+        calls.append((scope, x.shape[-2]))
+        return real(self, scope, x, *args, **kwargs)
+
+    monkeypatch.setattr(MegabyteDecoder, "_stack", recorded)
+    cfg = small_config(context_len=32)
+    generate(build(cfg, seed=23), bytes(range(prompt_len)), 1)
+    assert calls == [("g", prompt_len // cfg.patch_size + 1), ("l", 1)]
+
+
+@pytest.mark.parametrize("over", GEN_VARIANTS)
+def test_first_byte_alone_matches_the_full_call(over):
+    # generate(prompt, 1) makes the same first call as generate(prompt, n):
+    # the same byte and log-prob, bit for bit, greedy and sampled.
+    cfg = small_config(**over)
+    m = build(cfg, seed=29)
+    rng = np.random.default_rng(30)
+    for p_len in range(2 * cfg.patch_size + 2):
+        prompt = bytes(rng.integers(0, 256, size=p_len, dtype=np.uint8))
+        for temperature in (0.0, 1.0):
+            first = generate(m, prompt, 1, temperature=temperature, seed=p_len)
+            full = generate(m, prompt, cfg.context_len - p_len, temperature=temperature,
+                            seed=p_len)
+            assert first.data == full.data[:1], (p_len, temperature)
+            assert first.logprobs[0] == full.logprobs[0], (p_len, temperature)
 
 
 def test_cross_patch_prefill_runs_local_once_per_prompt_patch(monkeypatch):
     calls = count_stack_calls(monkeypatch)
     cfg = small_config(context_len=32, cross_patch_window=2)
-    generate(build(cfg, seed=24), bytes(range(14)), 0)
+    generate(build(cfg, seed=24), bytes(range(14)), 1)
     assert calls.count("g") == 1
     assert calls.count("l") == 4
 
 
 @pytest.mark.parametrize("cross, last", [(0, (1, 4)), (2, (4, 4))])
 def test_prefill_last_global_layer_queries_read_patches_only(monkeypatch, cross, last):
-    # A 14-byte prompt at P=4 is 4 patches in one global call. Only the
-    # tail patch's global output is read, except under cross-patch
-    # attention, whose local stack runs on every prompt patch.
+    # A 14-byte prompt and its first byte at P=4 are 4 patches in one
+    # global call. Only the tail patch's global output is read, except
+    # under cross-patch attention, whose local stack runs on every patch.
     calls = record_attention(monkeypatch)
     cfg = small_config(context_len=32, global_layers=2, cross_patch_window=cross)
-    generate(build(cfg, seed=24), bytes(range(14)), 0)
+    generate(build(cfg, seed=24), bytes(range(14)), 1)
     assert global_attention(calls) == [(4, 4), last]
 
 
@@ -522,8 +558,8 @@ def test_generate_over_length_names_sizes():
 
 
 def decode_counts(monkeypatch, cfg, n=48):
-    """Tensors built and concat calls per decoded byte, after the prefill
-    that generate(prompt, 0) runs alone."""
+    """Tensors built and concat calls per decoded byte after the first,
+    whose call also runs the prompt: (count(n + 1) - count(1)) / n."""
     counts = {"tensors": 0, "concat": 0}
     real_init, real_concat = Tensor.__init__, T.concat
 
@@ -538,10 +574,10 @@ def decode_counts(monkeypatch, cfg, n=48):
     monkeypatch.setattr(Tensor, "__init__", init)
     monkeypatch.setattr(T, "concat", concat)
     m = build(cfg, seed=5)
-    generate(m, b"hello", 0)
-    prefill = dict(counts)
-    generate(m, b"hello", n, temperature=1.0, seed=2)
-    return {key: (counts[key] - 2 * prefill[key]) / n for key in counts}
+    generate(m, b"hello", 1, temperature=1.0, seed=2)
+    first = dict(counts)
+    generate(m, b"hello", n + 1, temperature=1.0, seed=2)
+    return {key: (counts[key] - 2 * first[key]) / n for key in counts}
 
 
 def test_decode_op_budget(monkeypatch):

@@ -75,6 +75,28 @@ def test_init_deterministic():
     assert not np.array_equal(a["global_embed"].data, c["global_embed"].data)
 
 
+def _trunc_normal_rescanning(rng, shape, std, bound_sigmas):
+    """The rejection loop that re-tests the whole array each round."""
+    out = rng.normal(0.0, std, size=shape)
+    bound = bound_sigmas * std
+    bad = np.abs(out) > bound
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > bound
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (33, 5), (4, 3, 50), (256, 64)])
+@pytest.mark.parametrize("bound_sigmas", [2.0, 0.5])
+def test_trunc_normal_matches_the_rescanning_loop(shape, bound_sigmas):
+    # Re-testing only the redrawn entries takes the same draws, in the same
+    # order, into the same places; 0.5 sigma rejects ~62% a round, so many rounds.
+    for seed in (0, 1, 9):
+        got = training._trunc_normal(np.random.default_rng(seed), shape, 0.006, bound_sigmas)
+        want = _trunc_normal_rescanning(np.random.default_rng(seed), shape, 0.006, bound_sigmas)
+        assert got.shape == want.shape and np.array_equal(got, want), seed
+
+
 def test_init_zero_initialized_pieces():
     params = init_weights(small_config(), seed=0)
     assert np.all(params["local_pos"].data == 0.0)
@@ -140,6 +162,16 @@ def test_clip_global_norm_across_tensors():
     params = _params_with_grads([3.0], [4.0])
     clip_gradients(params, 1.0)
     assert grad_global_norm(params) <= 1.0 + 1e-12
+
+
+def test_grad_norm_does_not_depend_on_memory_layout():
+    # Summed in memory order, an F-ordered gradient rounds differently from
+    # its C-ordered copy for some of these seeds.
+    for seed in range(20):
+        g = np.random.default_rng(seed).normal(size=(37, 300))
+        c_order, f_order = _params_with_grads(g), _params_with_grads(np.asfortranarray(g))
+        assert f_order["p0"].grad.flags.f_contiguous
+        assert grad_global_norm(c_order) == grad_global_norm(f_order), seed
 
 
 # -- adam ----------------------------------------------------------------------------
