@@ -18,6 +18,9 @@ hands both to `_result`, which keeps the backward only when it records
 (grad on, some input tracked); a value only backward needs is computed
 in `_bp`. The closure exists before its output, so it cannot refer to
 the node that holds it, and reference counting frees every graph.
+The array g that backward hands to a `_bp` belongs to that call: relu,
+mul (for its left operand), log_softmax_last and layer_norm overwrite g
+in place and hand it on. A `_bp` never writes into any tensor's .data.
 
 A tensor is immutable after creation except for gradient accumulation,
 and one compute graph belongs to a single logical thread. The exception
@@ -118,8 +121,9 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         # A first gradient that owns its memory is adopted: no backward keeps
-        # an array it hands over, or hands it twice. Any other is copied in its
-        # own layout, which sets grad_global_norm's summation order.
+        # an array it hands over, or hands it twice, so no one else holds it
+        # and this node's _bp may later write into it. Any other is copied in
+        # its own layout.
         if self.grad is not None:
             self.grad += g
         elif g.flags.owndata and g.flags.writeable:
@@ -161,6 +165,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backprop is not None:
+                # node.grad is this node's alone (see _accum): the _bp owns g.
                 g, node.grad = node.grad, None
                 node._backprop(g)
 
@@ -182,15 +187,18 @@ class Tensor:
     def __mul__(self, other):
         other = _as_tensor(other)
         def _bp(g):
-            if _tracked(self):
-                self._accum(_unbroadcast(g * other.data, self.shape))
+            # other's term first, from g before self's term overwrites it
             if _tracked(other):
                 other._accum(_unbroadcast(g * self.data, other.shape))
+            if _tracked(self):
+                g *= other.data
+                self._accum(_unbroadcast(g, self.shape))
         return _result(np.multiply(self.data, other.data), (self, other), "mul", _bp)
 
     def relu(self) -> "Tensor":
         def _bp(g):
-            self._accum(g * (self.data > 0))
+            g *= self.data > 0
+            self._accum(g)
         return _result(np.maximum(self.data, 0.0), (self,), "relu", _bp)
 
     def reshape(self, *shape: int) -> "Tensor":
@@ -311,7 +319,9 @@ def log_softmax_last(x: Tensor) -> Tensor:
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     data = shifted - logz
     def _bp(g):
-        x._accum(g - np.exp(data) * g.sum(axis=-1, keepdims=True))
+        e = np.exp(data)
+        g -= np.multiply(e, g.sum(axis=-1, keepdims=True), out=e)
+        x._accum(g)
     return _result(data, (x,), "log_softmax_last", _bp)
 
 
@@ -337,7 +347,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             bias._accum(g.sum(axis=lead))
         if _tracked(x):
             # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in place
-            gh = g * gain.data
+            gh = np.multiply(g, gain.data, out=g)
             t = gh * xhat
             m = np.add.reduce(t, axis=-1, keepdims=True) / d
             np.multiply(xhat, m, out=t)
@@ -423,15 +433,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
 
     def _bp(g):
         g = split(g)
-        gw = np.matmul(g, np.swapaxes(vh, -1, -2))
-        gs = weights * (gw - (gw * weights).sum(axis=-1, keepdims=True))
+        gs = np.matmul(g, np.swapaxes(vh, -1, -2))   # the weights' gradient,
+        gs -= (gs * weights).sum(axis=-1, keepdims=True)
+        gs *= weights                                 # then the scores'
         if _tracked(k):
-            gkr = np.matmul(np.swapaxes(gs, -1, -2), qr) * scale
+            gkr = np.matmul(np.swapaxes(gs, -1, -2), qr)
+            gkr *= scale
             k._accum(merge(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr))
         if _tracked(v):
             v._accum(merge(np.matmul(np.swapaxes(weights, -1, -2), g)))
         if _tracked(q):
-            gqr = np.matmul(gs, kr) * scale
+            gqr = np.matmul(gs, kr)
+            gqr *= scale
             q._accum(merge(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr))
     return _result(merge(np.matmul(weights, vh)), (q, k, v), "causal_attention", _bp)
 
@@ -440,5 +453,5 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout from an explicit RNG stream; rng=None disables."""
     if rng is None or rate <= 0.0:
         return x
-    keep = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return x * Tensor(keep)
+    keep = rng.random(x.shape)
+    return x * Tensor(np.divide(keep >= rate, 1.0 - rate, out=keep))

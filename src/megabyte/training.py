@@ -28,10 +28,10 @@ class TrainingDiverged(FloatingPointError):
 
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule settings. Update counts, rates, clip_norm,
-    weight_decay, dropout, seed and window_stride must be finite and >= 0,
-    warmup_updates <= total_updates, batch_size >= 1, each Adam beta in
-    [0, 1) and adam_eps finite and > 0, so NaN and inf are rejected.
+    """Optimizer and schedule settings. Update counts, rates, weight_decay,
+    dropout, seed and window_stride must be finite and >= 0, warmup_updates
+    <= total_updates, batch_size >= 1, each Adam beta in [0, 1) and
+    clip_norm and adam_eps finite and > 0, so NaN and inf are rejected.
     window_stride is the step between training windows (0 = context length)."""
 
     peak_lr: float
@@ -51,15 +51,16 @@ class TrainConfig:
     window_stride: int = 0
 
     def __post_init__(self):
-        for name in ("total_updates", "warmup_updates", "peak_lr", "end_lr", "clip_norm",
+        for name in ("total_updates", "warmup_updates", "peak_lr", "end_lr",
                      "weight_decay", "dropout", "seed", "window_stride"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be finite and > 0")
+        for name in ("clip_norm", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.warmup_updates > self.total_updates:
             raise ValueError("warmup_updates must be <= total_updates")
         if self.batch_size < 1:
@@ -117,13 +118,13 @@ def grad_global_norm(params: Parameters) -> float:
 
 def clip_gradients(params: Parameters, max_norm: float = 1.0, norm: float | None = None) -> float:
     """Scale all gradients so their global L2 norm is at most max_norm;
-    norm is that L2 norm when the caller already has it.
+    norm is that L2 norm when the caller already has it; max_norm > 0.
 
     Returns the scale applied (1.0 when already under the limit).
     """
     if norm is None:
         norm = grad_global_norm(params)
-    if norm <= max_norm or norm == 0.0:
+    if norm <= max_norm:
         return 1.0
     scale = max_norm / norm
     for _, t in params.items():
@@ -148,6 +149,9 @@ def adam_step(params: Parameters, state: OptimState, lr: float, weight_decay: fl
 
     Decay applies only to weight matrices, never to layer-norm parameters,
     biases, or embeddings (the decay flag in the parameter registry).
+    Each parameter updates through one scratch buffer, in the order of
+    (m / bc1) / (sqrt(v / bc2) + eps) [+ decay * w], times lr; t.data is
+    rebound to the result, never written, as a caller may hold the old one.
     """
     b1, b2 = betas
     state.step += 1
@@ -159,14 +163,22 @@ def adam_step(params: Parameters, state: OptimState, lr: float, weight_decay: fl
             g = np.zeros_like(t.data)
         m = state.m[name]
         v = state.v[name]
+        buf = g * (1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += buf
+        np.multiply(g, 1.0 - b2, out=buf)
+        buf *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v += buf
+        np.sqrt(np.divide(v, bc2, out=buf), out=buf)
+        buf += eps
+        update = m / bc1
+        update /= buf
         if weight_decay > 0.0 and params.decays(name):
-            update = update + weight_decay * t.data
-        t.data = t.data - lr * update
+            np.multiply(t.data, weight_decay, out=buf)
+            update += buf
+        update *= lr
+        t.data = np.subtract(t.data, update, out=update)
 
 
 def sequence_loss_bits(log_probs: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -103,11 +103,12 @@ def test_train_negative_count_exit2(workdir, capsys, field, edits):
 
 @pytest.mark.parametrize("key,value", [
     ("peak_lr", "nan"), ("clip_norm", "nan"), ("clip_norm", "inf"), ("weight_decay", "nan"),
-    ("adam_beta1", "1.0"), ("adam_eps", "0"),
+    ("adam_beta1", "1.0"), ("adam_eps", "0"), ("clip_norm", "0"),
 ])
 def test_train_unusable_value_exit2(workdir, capsys, key, value):
     # Each of these once trained to NaN weights (or, for weight_decay=nan,
-    # silently without decay) and exited 0.
+    # silently without decay, and for clip_norm=0 with every gradient
+    # scaled to 0) and exited 0.
     text = re.sub(rf"^{key} = .*\n", "", TOY_CONFIG, flags=re.M) + f"{key} = {value}\n"
     with pytest.raises(ConfigError, match=key):
         parse_config(text.encode())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, max_rel_err, prepare_generic_point, ref_attention, ref_causal_conv
-from test_tensor import _check_grads
+from test_tensor import _check_grads, backward_intact
 
 from megabyte import tensor as T
 from megabyte.model import (
@@ -498,6 +498,18 @@ def test_count_params_puts_conv_filters_in_global_half():
 
 
 # -- end-to-end gradients ---------------------------------------------------------
+
+@pytest.mark.parametrize("over", ALL_VARIANTS)
+def test_training_backward_writes_into_no_forward_value(over):
+    # One training forward with dropout: backward overwrites the gradients
+    # it is handed, never a forward value, and every parameter gets its own.
+    cfg = toy_config(dropout=0.1, **over)
+    m = build(cfg, seed=27)
+    ids = np.random.default_rng(28).integers(0, cfg.vocab_size, size=(2, 8))
+    lp = m.forward(ids, rng=np.random.default_rng(29))
+    leaves = backward_intact(sequence_loss_bits(lp, ids, np.ones_like(ids, dtype=bool)))
+    assert leaves and {id(t) for t in leaves} <= {id(t) for _, t in m.params.items()}
+
 
 def _e2e_loss(m: MegabyteDecoder, ids: np.ndarray):
     lp = m.forward(ids)

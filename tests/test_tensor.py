@@ -187,6 +187,29 @@ def test_log_softmax_holds_only_its_output_until_backward():
     assert out.data.nbytes <= held < 1.1 * out.data.nbytes, held / out.data.nbytes
 
 
+@pytest.mark.parametrize("op,bound", [("relu", 0.2), ("log_softmax_last", 1.1), ("layer_norm", 1.1)])
+def test_backward_peak_allocation(op, bound):
+    # Each of these backwards writes its result into the gradient it is
+    # handed, so at its peak it holds at most one more input-sized array
+    # (relu only its bool mask, an eighth of one).
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(16, 128, 256)), requires_grad=True)
+    gain = Tensor(rng.normal(size=256), requires_grad=True)
+    bias = Tensor(rng.normal(size=256), requires_grad=True)
+    out = {"relu": lambda: x.relu(), "log_softmax_last": lambda: T.log_softmax_last(x),
+           "layer_norm": lambda: T.layer_norm(x, gain, bias)}[op]()
+    g = rng.normal(size=x.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backprop(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak < bound * x.data.nbytes, peak / x.data.nbytes
+
+
 # -- causal attention ----------------------------------------------------------
 
 def test_attention_single_slot_returns_value():
@@ -562,6 +585,47 @@ def test_diamond_graph_visits_once():
     loss = (y + y).sum()
     loss.backward()
     assert x.grad[0] == pytest.approx(4.0)
+
+
+def backward_intact(loss: Tensor) -> list[Tensor]:
+    """Run loss.backward() and check that it wrote into no reachable node's
+    .data and that no leaf's grad shares memory with another leaf's grad or
+    with any node's .data; returns the leaves that got a grad."""
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._prev)
+    before = [node.data.tobytes() for node in nodes]
+    loss.backward()
+    for node, data in zip(nodes, before):
+        assert node.data.tobytes() == data, node
+    leaves = [node for node in nodes if not node._prev and node.grad is not None]
+    for i, leaf in enumerate(leaves):
+        for other in leaves[i + 1:]:
+            assert not np.shares_memory(leaf.grad, other.grad)
+        for node in nodes:
+            assert not np.shares_memory(leaf.grad, node.data)
+    return leaves
+
+
+def test_shared_node_backward_writes_only_gradients():
+    # Backwards overwrite the gradient they are handed, so two inputs handed
+    # one array (x and w from x + w, or the x * x and x + x nodes from their
+    # sum) would corrupt each other's gradient.
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = rng.normal(size=(3, 4))
+    h = x + w
+    y = x * x + (x + x) + h.relu() * h      # h feeds the relu and the product
+    leaves = backward_intact((y * Tensor(c)).sum())
+    assert {id(t) for t in leaves} == {id(x), id(w)}
+    gh = 2.0 * np.maximum(h.data, 0.0) * c
+    assert np.allclose(x.grad, c * (2.0 * x.data + 2.0) + gh, rtol=1e-13, atol=1e-13)
+    assert np.allclose(w.grad, gh, rtol=1e-13, atol=1e-13)
 
 
 # -- lookup and shaping ops -----------------------------------------------------------

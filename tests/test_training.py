@@ -215,6 +215,45 @@ def test_adam_decay_excludes_flagged_parameters():
     assert params["b"].data[0] == 1.0
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_adam_matches_formula_bit_for_bit(weight_decay):
+    # Three steps against the update written as one expression per moment,
+    # on a C-ordered and an F-ordered gradient, a parameter with no gradient
+    # and one without decay. Each step rebinds t.data and leaves the old
+    # array as it was.
+    rng = np.random.default_rng(31)
+    params = Parameters()
+    for name, decay in (("c", True), ("f", True), ("none", True), ("nodecay", False)):
+        params.add(name, Tensor(rng.normal(size=(5, 7))), decay)
+    ref = {name: t.data.copy() for name, t in params.items()}
+    m = {name: np.zeros((5, 7)) for name in ref}
+    v = {name: np.zeros((5, 7)) for name in ref}
+    state = OptimState(params)
+    b1, b2, eps, lr = 0.9, 0.98, 1e-8, 0.01
+    for step in range(1, 4):
+        grads = {"c": rng.normal(size=(5, 7)), "f": np.asfortranarray(rng.normal(size=(5, 7))),
+                 "none": None, "nodecay": rng.normal(size=(5, 7))}
+        old = {}
+        for name, t in params.items():
+            t.grad = grads[name]
+            old[name] = (t.data, t.data.copy())
+        adam_step(params, state, lr, weight_decay, betas=(b1, b2), eps=eps)
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for name, t in params.items():
+            g = np.zeros((5, 7)) if grads[name] is None else grads[name]
+            m[name] = m[name] * b1 + (1.0 - b1) * g
+            v[name] = v[name] * b2 + (1.0 - b2) * g * g
+            update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+            if weight_decay > 0.0 and params.decays(name):
+                update = update + weight_decay * ref[name]
+            ref[name] = ref[name] - lr * update
+            assert t.data.tobytes() == ref[name].tobytes(), (step, name)
+            assert state.m[name].tobytes() == m[name].tobytes(), (step, name)
+            assert state.v[name].tobytes() == v[name].tobytes(), (step, name)
+            array, copy = old[name]
+            assert t.data is not array and array.tobytes() == copy.tobytes(), (step, name)
+
+
 def test_decay_flags_follow_exclusion_set():
     params = init_weights(small_config(), seed=0)
     assert params.decays("g0.attn.wq")
@@ -428,6 +467,13 @@ def test_train_config_rejects_negative_counts(field, over):
 def test_model_config_rejects_negative_counts(field):
     with pytest.raises(ValueError, match=field):
         small_config(**{field: -1})
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, -1.0])
+def test_train_config_rejects_clip_norm_not_positive(clip_norm):
+    # A clip_norm of 0 once scaled every gradient to 0, so Adam only decayed.
+    with pytest.raises(ValueError, match="clip_norm"):
+        train_config(clip_norm=clip_norm)
 
 
 def test_train_config_validation():
