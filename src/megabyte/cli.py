@@ -1,7 +1,16 @@
 """Command-line entry point: train, eval, generate, cost, and scan.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical failure.
-All subcommands are deterministic given --seed.
+Every subcommand is deterministic; train and generate take --seed.
+
+CSV outputs and their header lines; lines end in a bare newline, and every
+number is written as Python prints it:
+  train --loss-csv   step,lr,loss_bits_per_byte,grad_norm
+  eval --csv         metric,value: bpb, cost_multiplier, then pos{i}_loss and
+                     pos{i}_count for each within-patch index i
+  generate --trace   byte,log_prob,serial_steps
+  cost --csv         kind,m_g,m_l,P,D,T,flops_per_token,attn_ops,serial_steps
+                     (after one "# note:" line)
 """
 
 from __future__ import annotations
@@ -12,9 +21,19 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .checkpoint import load_checkpoint, save_checkpoint
+from .config import load_config
+from .costmodel import ArchSpec, sweep_to_csv
+from .data import (load_corpus, make_windows, parse_ppm, patch_scan, patch_unscan,
+                   raster_scan, raster_unscan, write_ppm)
+from .inference import evaluate_bpb, generate
+from .model import MegabyteDecoder
+from .training import init_weights, train
+
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="megabyte", description=__doc__)
+    ap = argparse.ArgumentParser(prog="megabyte", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint + loss CSV")
@@ -43,7 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="analytical FLOPS/attention/serial-step sweep")
     p.add_argument("--spec", action="append", required=True, metavar="KIND:k=v,...",
-                   help="e.g. megabyte:mg=452e6,ml=151e6,p=8 or transformer:m=660e6,l=24")
+                   help="KIND is transformer, linear_transformer or megabyte; keys m, mg, "
+                        "ml (parameter counts), p (patch size), d (embedding dim), l or lg "
+                        "(global layers), ll (local layers), each set at most once; e.g. "
+                        "megabyte:mg=452e6,ml=151e6,p=8 or transformer:m=660e6,l=24")
     p.add_argument("--seq-len", action="append", type=int, default=None)
     p.add_argument("--seq-len-range", default=None, metavar="MIN:MAX:MULT",
                    help="geometric range, e.g. 8192:1048576:4")
@@ -61,13 +83,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_train(args) -> int:
-    from .checkpoint import save_checkpoint
-    from .config import load_config
-    from .data import load_corpus, make_windows
-    from .model import MegabyteDecoder
-    from .training import curve_to_csv, init_weights, train
+def _write_csv(path, header: str, rows) -> None:
+    """Write `header` and one comma-joined line per row. A cell is a name or
+    a Python int or float (numpy values go through .tolist() first), so
+    str() writes every number as a plain decimal."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
+
+def _cmd_train(args) -> int:
+    if args.log_every < 0:
+        raise ValueError(f"--log-every must be >= 0, got {args.log_every}")
     model_cfg, train_cfg = load_config(args.config)
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
@@ -81,52 +107,38 @@ def _cmd_train(args) -> int:
 
     save_checkpoint(args.out, model_cfg, train_cfg, params)
     loss_path = args.loss_csv or (args.out + ".loss.csv")
-    Path(loss_path).write_text(curve_to_csv(curve))
+    _write_csv(loss_path, "step,lr,loss_bits_per_byte,grad_norm",
+               ((r.step, r.lr, r.loss_bits, r.grad_norm) for r in curve))
     final = curve[-1].loss_bits if curve else float("nan")
     print(f"wrote {args.out} and {loss_path} (final loss {final:.4f} bpb)")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    from .checkpoint import load_checkpoint
-    from .data import load_corpus
-    from .inference import evaluate_bpb
-    from .model import MegabyteDecoder
-
     model_cfg, _, params = load_checkpoint(args.ckpt)
     model = MegabyteDecoder(model_cfg, params)
     docs = load_corpus(args.data)
     report = evaluate_bpb(model, docs, mode=args.mode)
     print(report.summary())
     if args.csv:
-        lines = ["metric,value", f"bpb,{report.bpb!r}",
-                 f"cost_multiplier,{report.cost_multiplier}"]
-        for i, (loss, n) in enumerate(zip(report.per_position_loss,
-                                          report.per_position_count)):
-            lines.append(f"pos{i}_loss,{loss!r}")
-            lines.append(f"pos{i}_count,{int(n)}")
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        rows = [("bpb", report.bpb), ("cost_multiplier", report.cost_multiplier)]
+        for i, (loss, n) in enumerate(zip(report.per_position_loss.tolist(),
+                                          report.per_position_count.tolist())):
+            rows += [(f"pos{i}_loss", loss), (f"pos{i}_count", n)]
+        _write_csv(args.csv, "metric,value", rows)
     return 0
 
 
 def _cmd_generate(args) -> int:
-    from .checkpoint import load_checkpoint
-    from .inference import generate
-    from .model import MegabyteDecoder
-
     model_cfg, _, params = load_checkpoint(args.ckpt)
     model = MegabyteDecoder(model_cfg, params)
-    prompt = b""
-    if args.prompt_file:
-        prompt = Path(args.prompt_file).read_bytes()
+    prompt = Path(args.prompt_file).read_bytes() if args.prompt_file else b""
     trace = generate(model, prompt, args.length,
                      temperature=args.temperature, seed=args.seed)
     Path(args.out).write_bytes(trace.data)
     if args.trace:
-        lines = ["byte,log_prob,serial_steps"]
-        for b, lp, steps in zip(trace.data, trace.logprobs, trace.serial_steps):
-            lines.append(f"{b},{lp!r},{steps}")
-        Path(args.trace).write_text("\n".join(lines) + "\n")
+        _write_csv(args.trace, "byte,log_prob,serial_steps",
+                   zip(trace.data, trace.logprobs.tolist(), trace.serial_steps.tolist()))
     print(f"wrote {len(trace.data)} bytes to {args.out} "
           f"({trace.total_serial_steps} serial steps)")
     return 0
@@ -142,45 +154,41 @@ def _parse_size(raw: str) -> int:
     return int(val)
 
 
-def _parse_spec(raw: str):
-    from .costmodel import ArchSpec
+# Each --spec key: the ArchSpec field it sets and how its value is read.
+_SPEC_KEYS = {"m": ("m", _parse_size), "mg": ("m_global", _parse_size),
+              "ml": ("m_local", _parse_size), "p": ("patch_size", int),
+              "d": ("embed_dim", int), "l": ("l_global", int), "lg": ("l_global", int),
+              "ll": ("l_local", int)}
 
+
+def _parse_spec(raw: str) -> ArchSpec:
     kind, _, rest = raw.partition(":")
     fields = {}
-    if rest:
-        for item in rest.split(","):
+    try:
+        for item in rest.split(",") if rest else ():
             key, eq, val = item.partition("=")
+            key = key.strip().lower()
             if not eq:
                 raise ValueError(f"malformed spec field {item!r}")
-            fields[key.strip().lower()] = val.strip()
-    try:
-        return ArchSpec(
-            kind=kind.strip(),
-            m=_parse_size(fields["m"]) if "m" in fields else 0,
-            m_global=_parse_size(fields["mg"]) if "mg" in fields else 0,
-            m_local=_parse_size(fields["ml"]) if "ml" in fields else 0,
-            patch_size=int(fields.get("p", 1)),
-            embed_dim=int(fields.get("d", 0)),
-            l_global=int(fields.get("lg", fields.get("l", 0))),
-            l_local=int(fields.get("ll", 0)),
-        )
-    except (KeyError, ValueError) as exc:
+            if key not in _SPEC_KEYS:
+                raise ValueError(f"unknown key {key!r}; keys are {', '.join(_SPEC_KEYS)}")
+            name, parse = _SPEC_KEYS[key]
+            if name in fields:
+                raise ValueError(f"key {key!r} sets {name}, which an earlier key set")
+            fields[name] = parse(val.strip())
+        return ArchSpec(kind=kind.strip(), **fields)
+    except ValueError as exc:
         raise ValueError(f"bad spec {raw!r}: {exc}") from None
 
 
 def _cmd_cost(args) -> int:
-    from .costmodel import sweep_to_csv
-
     specs = [_parse_spec(s) for s in args.spec]
     seq_lens = list(args.seq_len or [])
     if args.seq_len_range:
-        parts = args.seq_len_range.split(":")
-        if len(parts) != 3:
-            raise ValueError("--seq-len-range must be MIN:MAX:MULT")
         try:
-            lo, hi, mult = int(parts[0]), int(parts[1]), int(parts[2])
+            lo, hi, mult = map(int, args.seq_len_range.split(":"))
         except ValueError:
-            raise ValueError("--seq-len-range must be integers") from None
+            raise ValueError("--seq-len-range must be three integers MIN:MAX:MULT") from None
         if lo < 1 or hi < lo or mult < 2:
             raise ValueError("--seq-len-range needs 1 <= MIN <= MAX and MULT >= 2")
         t = lo
@@ -199,8 +207,6 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    from .data import parse_ppm, patch_scan, patch_unscan, raster_scan, raster_unscan, write_ppm
-
     if args.mode == "patch" and args.patch_size is None:
         raise ValueError("--mode patch requires --patch-size")
     src = Path(args.ppm).read_bytes()
@@ -211,14 +217,11 @@ def _cmd_scan(args) -> int:
             img = raster_unscan(src, args.height, args.width)
         else:
             img = patch_unscan(src, args.height, args.width, args.patch_size)
-        Path(args.out).write_bytes(write_ppm(img))
+        out = write_ppm(img)
     else:
         img = parse_ppm(src)
-        if args.mode == "raster":
-            out = raster_scan(img)
-        else:
-            out = patch_scan(img, args.patch_size)
-        Path(args.out).write_bytes(out)
+        out = raster_scan(img) if args.mode == "raster" else patch_scan(img, args.patch_size)
+    Path(args.out).write_bytes(out)
     print(f"wrote {args.out}")
     return 0
 

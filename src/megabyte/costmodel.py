@@ -139,7 +139,7 @@ def sweep_to_csv(specs: list[ArchSpec], seq_lens: list[int], masked: bool = Fals
         raise ValueError("empty sequence-length range")
     buf = io.StringIO()
     buf.write(f"# note: {LINEAR_ATTENTION_NOTE}\n")
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for spec in specs:
         for t in seq_lens:

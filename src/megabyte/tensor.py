@@ -36,6 +36,8 @@ been passed to its inputs.
 Finiteness: a bare op raises FloatingPointError naming itself on inf or
 nan output. A training step, an eval window and a generate call skip that
 scan (`checked_once`), check what they return, and on a failure rerun with it on.
+The rerun names the op by scanning outputs, not by numpy's floating-point flags:
+OpenBLAS worker threads do not report those flags to the calling thread.
 """
 
 from __future__ import annotations

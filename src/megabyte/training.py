@@ -271,10 +271,3 @@ def train(model: MegabyteDecoder, windows, cfg: TrainConfig,
         if log_every and step % log_every == 0:
             print(f"step {step:5d}  lr {lr:.3e}  loss {loss_bits:.4f} bpb  grad {norm:.3f}")
     return curve
-
-
-def curve_to_csv(curve: list[StepRecord]) -> str:
-    lines = ["step,lr,loss_bits_per_byte,grad_norm"]
-    for r in curve:
-        lines.append(f"{r.step},{r.lr!r},{r.loss_bits!r},{r.grad_norm!r}")
-    return "\n".join(lines) + "\n"

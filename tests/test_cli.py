@@ -17,7 +17,8 @@ from megabyte.checkpoint import (
 )
 from megabyte.cli import main
 from megabyte.config import ConfigError, config_to_text, load_config, parse_config
-from megabyte.inference import generate
+from megabyte.data import load_corpus
+from megabyte.inference import evaluate_bpb, generate
 from megabyte.model import MegabyteDecoder, ModelConfig
 from megabyte.training import TrainConfig, init_weights
 
@@ -132,6 +133,15 @@ def test_train_bad_seed_or_stride_exit2(workdir, capsys, edit, extra, key):
     assert _train(workdir, extra=extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and "Traceback" not in err
+    assert not (workdir / "model.ckpt").exists()
+
+
+def test_train_negative_log_every_exit2(workdir, capsys):
+    # `step % -1 == 0` holds at every step, so this once printed each step
+    # and exited 0.
+    assert _train(workdir, extra=("--log-every", "-1")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--log-every" in err and "Traceback" not in err
     assert not (workdir / "model.ckpt").exists()
 
 
@@ -270,6 +280,48 @@ def test_generate_trace_serial_steps_match_formula(workdir):
     assert total == serial_steps(1, 1, 4, 16)[0]
 
 
+# -- CSV outputs -----------------------------------------------------------------------------
+
+def test_run_csvs_hold_plain_numbers(workdir):
+    # eval --csv and generate --trace once wrote numpy floats with !r, as
+    # cells like np.float64(-5.53), which no CSV reader takes for a number.
+    assert _train(workdir) == 0
+    ckpt, corpus = workdir / "model.ckpt", workdir / "corpus.bin"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(corpus),
+                 "--csv", str(workdir / "eval.csv")]) == 0
+    assert main(["generate", "--ckpt", str(ckpt), "--length", "12", "--seed", "3",
+                 "--out", str(workdir / "g.bin"), "--trace", str(workdir / "trace.csv")]) == 0
+
+    def rows(name, header, *types):
+        text = (workdir / name).read_text()
+        assert "\r" not in text and text.endswith("\n")
+        first, *lines = text.splitlines()
+        assert first == header
+        return [[t(c) for t, c in zip(types, line.split(","), strict=True)] for line in lines]
+
+    curve = rows("model.ckpt.loss.csv", "step,lr,loss_bits_per_byte,grad_norm",
+                 int, float, float, float)
+    assert [r[0] for r in curve] == [0, 1, 2]
+
+    mc, _, params = load_checkpoint(ckpt)
+    model = MegabyteDecoder(mc, params)
+    report = evaluate_bpb(model, load_corpus(corpus))
+    values = dict(rows("eval.csv", "metric,value", str, str))
+    assert float(values.pop("bpb")) == report.bpb
+    assert int(values.pop("cost_multiplier")) == report.cost_multiplier
+    assert len(values) == 2 * mc.patch_size
+    assert [float(values[f"pos{i}_loss"]) for i in range(mc.patch_size)] \
+        == report.per_position_loss.tolist()
+    assert [int(values[f"pos{i}_count"]) for i in range(mc.patch_size)] \
+        == report.per_position_count.tolist()
+
+    trace = generate(model, b"", 12, seed=3)
+    cells = rows("trace.csv", "byte,log_prob,serial_steps", int, float, int)
+    assert bytes(r[0] for r in cells) == trace.data
+    assert [r[1] for r in cells] == trace.logprobs.tolist()
+    assert [r[2] for r in cells] == trace.serial_steps.tolist()
+
+
 # -- cost ------------------------------------------------------------------------------------
 
 def test_cost_single_row(workdir, capsys):
@@ -309,7 +361,9 @@ def test_cost_non_finite_size_exit2(capsys, spec):
 
 @pytest.mark.parametrize("spec, field", [("transformer:m=1e6,l=-3", "l_global"),
                                          ("megabyte:mg=4000,ml=100,p=4,ll=-1", "l_local"),
-                                         ("transformer:m=1000,d=-64", "embed_dim")])
+                                         ("transformer:m=1000,d=-64", "embed_dim"),
+                                         ("megabyte:mg=1e6,ml=1e5,patch=8", "key 'patch'"),
+                                         ("transformer:m=8,l=2,lg=5", "key 'lg'")])
 def test_cost_negative_count_exit2(capsys, spec, field):
     assert main(["cost", "--spec", spec, "--seq-len", "64"]) == 2
     assert field in capsys.readouterr().err

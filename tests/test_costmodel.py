@@ -220,6 +220,15 @@ def test_sweep_notes_linear_attention_caveat():
     assert out.startswith("#") and "undercount" in out.splitlines()[0]
 
 
+def test_sweep_lines_end_in_bare_newline():
+    # csv.writer's default terminator once ended each row in "\r\n" while
+    # the note line ended in "\n".
+    specs = [ArchSpec("transformer", m=10), ArchSpec("megabyte", m_global=40, patch_size=4)]
+    out = sweep_to_csv(specs, [8, 16])
+    assert "\r" not in out and out.endswith("\n")
+    assert len(out.splitlines()) == 2 + len(specs) * 2
+
+
 def test_sweep_figure_triple_always_cheaper():
     specs = []
     for m_g, m_l, m_dense in FIGURE_SIZES:

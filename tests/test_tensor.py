@@ -707,6 +707,26 @@ def test_nonfinite_forward_raises():
         Tensor(np.array([1e308])) * Tensor(np.array([1e308]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_checked_once_names_matmul_overflow_in_one_column():
+    # Only the last column of the product overflows. With two or more
+    # BLAS threads, that column is computed on a worker thread whose
+    # floating-point flags numpy never sees, so np.errstate does not
+    # raise and no RuntimeWarning is emitted; the rerun's output scan
+    # still names matmul.
+    a, b = np.ones((512, 256)), np.ones((256, 512))
+    b[:, -1] = 1e307
+
+    @T.checked_once
+    def product():
+        out = T.matmul(Tensor(a), Tensor(b)).data
+        T._check_finite(out, "product")
+        return out
+
+    with pytest.raises(FloatingPointError, match="non-finite values produced by matmul"):
+        product()
+
+
 def test_ops_are_deterministic():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(5, 5))
