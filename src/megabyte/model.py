@@ -261,7 +261,7 @@ def _causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
     row i and no row sees a later one. One matmul per tap, summed in tap
     order."""
     w, t = kernel.shape[0], x.shape[-2]
-    xp = T.concat([Tensor(np.zeros(x.shape[:-2] + (w - 1, x.shape[-1]))), x], axis=-2)
+    xp = T.concat([Tensor(np.zeros((1,) * (x.ndim - 2) + (w - 1, 1))), x], axis=-2)
     out = T.matmul(xp[..., 0:t, :], kernel[0])
     for j in range(1, w):
         out = out + T.matmul(xp[..., j:j + t, :], kernel[j])
@@ -271,11 +271,7 @@ def _causal_conv(x: Tensor, kernel: Tensor) -> Tensor:
 def _cross_slots(x: Tensor, r: int) -> Tensor:
     """Cross-patch slots for (B, K, t, dim) keys or values: each patch gets
     the last r rows of the patch before it, and the first patch zeros."""
-    b, _, _, dim = x.shape
-    slots = Tensor(np.zeros((b, 1, r, dim)))
-    if x.shape[1] > 1:
-        slots = T.concat([slots, x[:, :-1, -r:, :]], axis=1)
-    return slots
+    return T.concat([Tensor(np.zeros((1, 1, r, 1))), x[:, :-1, -r:]], axis=1)
 
 
 class MegabyteDecoder:
@@ -312,14 +308,12 @@ class MegabyteDecoder:
         k1 = t // ps if k1 is None else k1
         first = max(k0, 1)
         lo = max(0, (first - 1) * ps - CONV_CONTEXT)
-        rows = [T.broadcast_to(p["global_pad"].reshape(1, 1, -1), (b, 1, m))] if k0 == 0 else []
-        if t > lo:
-            emb = T.embedding(p["global_embed"], ids[:, lo:]) + p["global_pos"][lo:t]
-            if cfg.conv_active:
-                for w in CONV_WIDTHS:
-                    emb = emb + _causal_conv(emb, p[f"conv{w}"]).relu()
-            rows.append(emb[:, (first - 1) * ps - lo:(k1 - 1) * ps - lo].reshape(b, k1 - first, m))
-        return rows[0] if len(rows) == 1 else T.concat(rows, axis=1)
+        emb = T.embedding(p["global_embed"], ids[:, lo:]) + p["global_pos"][lo:t]
+        if cfg.conv_active:
+            for w in CONV_WIDTHS:
+                emb = emb + _causal_conv(emb, p[f"conv{w}"]).relu()
+        rows = emb[:, (first - 1) * ps - lo:(k1 - 1) * ps - lo].reshape(b, k1 - first, m)
+        return T.concat([p["global_pad"].reshape(1, 1, m), rows], axis=1) if k0 == 0 else rows
 
     # -- transformer stacks ----------------------------------------------
 
@@ -423,9 +417,7 @@ class MegabyteDecoder:
         prev = ids.reshape(b, t // ps, ps)[..., max(start, 1) - 1:stop - 1]
         emb = T.embedding(p["local_embed"], prev)
         if start == 0:
-            pad = T.broadcast_to(p["local_pad"].reshape(1, 1, 1, -1),
-                                 prev.shape[:-1] + (1, cfg.local_dim))
-            emb = T.concat([pad, emb], axis=-2)
+            emb = T.concat([p["local_pad"].reshape(1, 1, 1, -1), emb], axis=-2)
         return emb + p["local_pos"][start:stop]
 
     def project_global(self, h_global_out: Tensor) -> Tensor:

@@ -4,10 +4,11 @@ Covers exactly the operations the decoder needs. Tensor methods:
 broadcast + and *, relu, reshape, transpose, slicing (which also takes
 integer-array picks, as the loss reads each target's log-probability)
 and sum (of every entry). Functions: matmul (rows by a 2-D matrix, plus
-an optional (n,) bias added into the product as one node), concat,
-broadcast_to, embedding (row lookup), log_softmax_last, layer_norm,
-causal_attention (fused, on (..., t, heads * d) rows whose heads it
-splits as numpy views, with optional rotary positions) and dropout.
+an optional (n,) bias added into the product as one node), concat
+(broadcasting its inputs off the join axis), embedding (row lookup),
+log_softmax_last, layer_norm, causal_attention (fused, on
+(..., t, heads * d) rows whose heads it splits as numpy views, with
+optional rotary positions) and dropout.
 Every product with a weight matrix, the conv encoder's filter taps
 included, runs in matmul.
 Every array is float64, the precision the gradient checks are stated for.
@@ -225,7 +226,7 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         def _bp(g):
-            self._accum(np.broadcast_to(g, self.shape))
+            self._accum(np.full(self.shape, g))
         return _result(self.data.sum(), (self,), "sum", _bp)
 
 
@@ -283,24 +284,30 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    """Join tensors of one rank along axis. Off that axis each input is
+    broadcast, by numpy's rules, to the others' shape, so a (1, ..., n, 1)
+    block leads every row; its gradient sums back over the broadcast."""
     tensors = [_as_tensor(t) for t in tensors]
+    shapes = [t.shape for t in tensors]
+    ranks = {len(s) for s in shapes}
+    if len(ranks) != 1 or not -min(ranks) <= axis < min(ranks):
+        raise ValueError(f"concat needs inputs of one rank that has axis {axis}, got {shapes}")
+    a = axis % len(shapes[0])
+    try:
+        shape = list(np.broadcast_shapes(*(s[:a] + (1,) + s[a + 1:] for s in shapes)))
+    except ValueError:
+        raise ValueError(f"concat cannot broadcast {shapes} off axis {axis}") from None
+    ends = np.cumsum([s[a] for s in shapes]).tolist()
+    shape[a] = ends[-1]
+    keys = [(slice(None),) * a + (slice(e - s[a], e),) for s, e in zip(shapes, ends)]
+    data = np.empty(shape)
+    for t, key in zip(tensors, keys):
+        data[key] = t.data
     def _bp(g):
-        offset = 0
-        for t in tensors:
-            n = t.shape[axis]
+        for t, key in zip(tensors, keys):
             if _tracked(t):
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + n)
-                t._accum(g[tuple(idx)])
-            offset += n
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), "concat", _bp)
-
-
-def broadcast_to(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    t = _as_tensor(t)
-    def _bp(g):
-        t._accum(_unbroadcast(g, t.shape))
-    return _result(np.broadcast_to(t.data, shape).copy(), (t,), "broadcast_to", _bp)
+                t._accum(_unbroadcast(g[key], t.shape))
+    return _result(data, tuple(tensors), "concat", _bp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -11,6 +11,7 @@ from test_tensor import _check_grads, backward_intact
 
 from megabyte import tensor as T
 from megabyte.model import (
+    CONV_WIDTHS,
     MegabyteDecoder,
     ModelConfig,
     _causal_conv,
@@ -40,29 +41,51 @@ def ref_layer_norm(x, gain, bias, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
-def ref_transformer_stack(x, params, scope, layers, heads):
-    """Pre-norm stack recomputed with loops and the brute-force attention."""
+def ref_transformer_stack(x, params, scope, layers, heads, window=0, drop=None):
+    """Pre-norm stack recomputed with loops and the brute-force attention,
+    over one sequence (t, dim) or a stack of patches (K, t, dim).
+
+    With window r > 0, each patch's keys and values at a layer are led by
+    the last r of the patch before at that layer (zeros for the first), at
+    the rotary positions just before its own. drop = (rate, rng) keeps each
+    entry of a layer's attention output, then of its feed-forward output,
+    where rng.random() >= rate, scaled by 1 / (1 - rate)."""
     def p(name):
         return params[name].data
 
+    def dropped(y):
+        if drop is None:
+            return y
+        rate, rng = drop
+        return y * (rng.random(y.shape) >= rate) / (1.0 - rate)
+
+    single = x.ndim == 2
+    x = x[None] if single else x
     for i in range(layers):
         a = ref_layer_norm(x, p(f"{scope}{i}.ln1.gain"), p(f"{scope}{i}.ln1.bias"))
         q = a @ p(f"{scope}{i}.attn.wq") + p(f"{scope}{i}.attn.bq")
         k = a @ p(f"{scope}{i}.attn.wk") + p(f"{scope}{i}.attn.bk")
         v = a @ p(f"{scope}{i}.attn.wv") + p(f"{scope}{i}.attn.bv")
-        t, dim = q.shape
+        n, t, dim = q.shape
         dh = dim // heads
         att = np.zeros_like(q)
-        for h in range(heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            att[:, sl] = ref_attention(q[None, :, sl], k[None, :, sl], v[None, :, sl])[0]
-        x = x + att @ p(f"{scope}{i}.attn.wo") + p(f"{scope}{i}.attn.bo")
+        for j in range(n):
+            for h in range(heads):
+                sl = slice(h * dh, (h + 1) * dh)
+                slots = {}
+                if window:
+                    ek, ev = ((np.zeros((window, dh)) if j == 0 else c[j - 1, t - window:, sl])
+                              for c in (k, v))
+                    slots = dict(extra_k=ek[None], extra_v=ev[None], rotary=True)
+                att[j, :, sl] = ref_attention(q[None, j, :, sl], k[None, j, :, sl],
+                                              v[None, j, :, sl], **slots)[0]
+        x = x + dropped(att @ p(f"{scope}{i}.attn.wo") + p(f"{scope}{i}.attn.bo"))
         f = ref_layer_norm(x, p(f"{scope}{i}.ln2.gain"), p(f"{scope}{i}.ln2.bias"))
         f = np.maximum(f @ p(f"{scope}{i}.ff.w1") + p(f"{scope}{i}.ff.b1"), 0.0)
-        x = x + f @ p(f"{scope}{i}.ff.w2") + p(f"{scope}{i}.ff.b2")
+        x = x + dropped(f @ p(f"{scope}{i}.ff.w2") + p(f"{scope}{i}.ff.b2"))
     if layers > 0:
         x = ref_layer_norm(x, p(f"{scope}.lnf.gain"), p(f"{scope}.lnf.bias"))
-    return x
+    return x[0] if single else x
 
 
 # -- patch embedder ----------------------------------------------------------------
@@ -101,6 +124,25 @@ def test_embed_global_one_hot_lookup():
     # The last P bytes never enter the global input.
     ids[8:] = (ids[8:] + 1) % cfg.vocab_size
     assert np.array_equal(m.embed_global(ids[None, :]).data[0], out)
+
+
+def test_embed_global_conv_stack_oracle():
+    # With the conv encoder on, the byte + position rows go through the
+    # 3-5-7 stack, each width adding relu(conv) to its input. The filters
+    # are scaled up so that every conv moves the rows.
+    cfg = toy_config(context_len=16, conv_encoder=True)
+    m = build(cfg, seed=3)
+    for w in CONV_WIDTHS:
+        m.params[f"conv{w}"].data = m.params[f"conv{w}"].data * 50.0
+    ids = np.random.default_rng(4).integers(0, cfg.vocab_size, size=(2, 16))
+    out = m.embed_global(ids).data
+    p = {name: t.data for name, t in m.params.items()}
+    for b in range(2):
+        x = p["global_embed"][ids[b]] + p["global_pos"]
+        for w in CONV_WIDTHS:
+            x = x + np.maximum(ref_causal_conv(x, p[f"conv{w}"]), 0.0)
+        assert np.array_equal(out[b, 0], p["global_pad"].reshape(-1))
+        assert np.allclose(out[b, 1:], x[:12].reshape(3, 16), rtol=0, atol=1e-12)
 
 
 def test_embed_global_rejects_bad_byte():
@@ -242,6 +284,21 @@ def test_global_forward_matches_reference_stack():
     assert np.allclose(out, ref, atol=1e-10)
 
 
+def test_global_forward_dropout_matches_reference_stack():
+    # Dropout falls on each layer's attention output, then on its
+    # feed-forward output, drawn in that order from the one rng; never on
+    # the residual sum.
+    cfg = toy_config(context_len=12, patch_size=4, global_dim=2, global_layers=2,
+                     global_heads=2, dropout=0.5)
+    m = build(cfg, seed=8)
+    x = np.random.default_rng(9).normal(size=(3, 8))
+    for s in range(3):
+        out = m.global_forward(T.Tensor(x[None]), rng=np.random.default_rng(s)).data[0]
+        ref = ref_transformer_stack(x, m.params, "g", 2, heads=2,
+                                    drop=(0.5, np.random.default_rng(s)))
+        assert np.allclose(out, ref, rtol=0, atol=1e-10), s
+
+
 # -- combine and local stack ----------------------------------------------------------
 
 def test_combine_zero_projection_leaves_byte_embedding():
@@ -316,16 +373,23 @@ def test_local_forward_logits_shape():
 
 
 def test_local_forward_matches_reference_stack():
-    cfg = toy_config(context_len=4, patch_size=2, global_dim=2, local_dim=2,
-                     local_layers=1, vocab_size=3)
-    m = build(cfg, seed=18)
-    rng = np.random.default_rng(19)
-    h = rng.normal(size=(2, 2, 2))  # (K, P, D_L)
-    got = m.local_forward(T.Tensor(h[None])).data[0]
-    rows = np.vstack([ref_transformer_stack(h[k], m.params, "l", 1, heads=1)
-                      for k in range(2)])
-    ref = rows @ m.params["local_embed"].data.T
-    assert np.allclose(got, ref, atol=1e-10)
+    # Each patch's slots at a layer are the previous patch's last r keys and
+    # values at that layer, at rotary positions; without rotary, or with
+    # other rows as slots, the log-probs move far past atol.
+    h = np.random.default_rng(19).normal(size=(3, 4, 4))  # (K, P, D_L)
+    for r in (0, 1, 2, 4):
+        cfg = toy_config(context_len=12, patch_size=4, global_dim=2, local_dim=4,
+                         local_layers=2, local_heads=2, vocab_size=5, cross_patch_window=r)
+        m = build(cfg, seed=18)
+        # The layers' weights 20x the init scale, as in the invariant suite,
+        # so attention is far from uniform and a mixed-up slot shows.
+        for name, t in m.params.items():
+            if t.ndim > 1 and name.startswith("l") and name[1].isdigit():
+                t.data = t.data * 20.0
+        got = m.local_forward(T.Tensor(h[None])).data[0]
+        rows = ref_transformer_stack(h, m.params, "l", 2, heads=2, window=r).reshape(12, 4)
+        ref = rows @ m.params["local_embed"].data.T
+        assert np.allclose(got, ref, rtol=0, atol=1e-10), r
 
 
 def test_cross_patch_extras_change_later_patch_only():

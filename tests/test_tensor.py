@@ -467,7 +467,7 @@ def test_graph_is_freed_by_reference_counting():
         q = h.reshape(1, 1, 4, 4).transpose((0, 1, 3, 2))
         kv = T.concat([q[..., :2, :], q], axis=-2)
         a = T.causal_attention(q, kv, kv, rotary=True)
-        c = T.concat([a, T.broadcast_to(w[:1], (1, 1, 1, 4))], axis=-2)
+        c = T.concat([a, w[:1].reshape(1, 1, 4, 1)], axis=-2)   # broadcast along rows
         c = T.dropout(c, 0.5, np.random.default_rng(1)) + T.matmul(c, Tensor(np.full((4, 1), -0.25)))
         loss = T.log_softmax_last(c)[0, 0, np.arange(5), np.zeros(5, dtype=np.int64)].sum()
         nodes, stack = [], [loss]
@@ -657,12 +657,32 @@ def test_shaping_ops_grads():
     def build():
         ta = Tensor(arrays["a"], requires_grad=True)
         tb = Tensor(arrays["b"], requires_grad=True)
-        joined = T.concat([ta, T.broadcast_to(tb, (2, 3, 4))], axis=0)
+        joined = T.concat([ta, tb], axis=0)   # tb broadcast to (2, 3, 4)
         moved = joined.transpose((0, 2, 1)).transpose((0, 2, 1))  # there and back
         sliced = moved[:, :, :]
         return {"a": ta, "b": tb, "loss": (sliced * Tensor(w)).sum()}
 
     _check_grads(build, arrays, tol=1e-6, floor=1e-6)
+
+
+def test_concat_broadcasts_off_the_join_axis():
+    # A (1, 1, n, 1) block leads every row of every patch, as the model's
+    # pad rows, cross-patch slots and conv lead-in do.
+    lead = Tensor(np.arange(2.0).reshape(1, 1, 2, 1))
+    rows = Tensor(np.ones((2, 3, 1, 4)))
+    out = T.concat([lead, rows], axis=-2).data
+    assert out.shape == (2, 3, 3, 4)
+    assert np.array_equal(out[:, :, :2], np.broadcast_to(lead.data, (2, 3, 2, 4)))
+    assert np.array_equal(out[:, :, 2:], rows.data)
+
+
+@pytest.mark.parametrize("shapes, axis", [([(1, 4), (2, 3, 4)], -2), ([(2, 3, 4), (3, 1, 4)], 1),
+                                          ([(2, 3), (2, 3)], 2)],
+                         ids=["mixed-rank", "off-axis-mismatch", "axis-out-of-range"])
+def test_concat_rejects_inputs_that_do_not_broadcast(shapes, axis):
+    # Mixed ranks would broadcast under numpy's rules; concat refuses them.
+    with pytest.raises(ValueError, match=re.escape(str(shapes))):
+        T.concat([Tensor(np.zeros(s)) for s in shapes], axis=axis)
 
 
 def test_slice_grad_scatters():
