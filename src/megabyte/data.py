@@ -143,8 +143,9 @@ def patch_unscan(data: bytes, height: int, width: int, patch_bytes: int) -> Imag
 
 def parse_ppm(data: bytes) -> ImageGrid:
     """Parse a binary PPM (magic P6, maxval 255), tolerating comments and
-    arbitrary whitespace in the header."""
-    if not data.startswith(b"P6"):
+    arbitrary whitespace in the header. The magic must be followed by
+    whitespace, and each header number is plain ASCII decimal digits."""
+    if not data.startswith(b"P6") or not data[2:3].isspace():
         raise ValueError("bad magic: not a binary PPM (P6)")
     pos = 2
     fields = []
@@ -160,10 +161,9 @@ def parse_ppm(data: bytes) -> ImageGrid:
             pos += 1
         if start == pos:
             raise ValueError("truncated PPM header")
-        try:
-            fields.append(int(data[start:pos]))
-        except ValueError:
-            raise ValueError(f"bad PPM header field: {data[start:pos]!r}") from None
+        if not data[start:pos].isdigit():   # int() would take a sign or underscores
+            raise ValueError(f"bad PPM header field: {data[start:pos]!r}")
+        fields.append(int(data[start:pos]))
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"unsupported maxval {maxval} (need 255)")

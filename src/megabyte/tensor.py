@@ -8,31 +8,29 @@ an optional (n,) bias added into the product as one node), concat
 (broadcasting its inputs off the join axis), embedding (row lookup),
 log_softmax_last, layer_norm, causal_attention (fused, on
 (..., t, heads * d) rows whose heads it splits as numpy views, with
-optional rotary positions) and dropout.
-Every product with a weight matrix, the conv encoder's filter taps
-included, runs in matmul.
-Every array is float64, the precision the gradient checks are stated for.
+optional rotary positions) and dropout. Every product with a weight
+matrix, the conv encoder's filter taps included, runs in matmul. Every
+array is float64, the precision the gradient checks are stated for.
 
 Op contract: an op computes its output and its backward, a closure
-`_bp(g)` that adds the output's gradient g into its inputs' grads, and
-hands both to `_result`, which keeps the backward only when it records
-(grad on, some input tracked); a value only backward needs is computed
-in `_bp`. The closure exists before its output, so it cannot refer to
-the node that holds it, and reference counting frees every graph.
-The array g that backward hands to a `_bp` belongs to that call: relu,
-mul (for its left operand), log_softmax_last and layer_norm overwrite g
-in place and hand it on. A `_bp` never writes into any tensor's .data.
+`_bp(g, *records)` that adds the output's gradient g into its inputs'
+records, and hands both to `_result`, the one place that makes a record
+(`_Node`: the gradient while backward runs, the inputs' records, None
+where no gradient flows, and the backward) when grad is on and some
+input is tracked. A leaf (a tensor built directly, not by an op) is its
+own record. A `_bp` captures only the arrays it reads, never a Tensor or
+a record, so the graph holds no forward value of its own: an output that
+the caller drops is freed in forward unless a backward captured it, and a
+value only backward needs is computed in `_bp`. The array g that backward
+hands to a `_bp` belongs to that call: relu, mul (for its left operand),
+log_softmax_last and layer_norm overwrite g in place and hand it on.
 
-A tensor is immutable after creation except for gradient accumulation,
-and one compute graph belongs to a single logical thread. The exception
-is the decode key/value buffers of `model.KVCache`: `append` and
-`restart`'s slot copy write them in place, only under no_grad, and never
-into a view still in use (each is read by one attention call, then
-dropped). `causal_attention`'s softmax runs in place in its score
-buffer, but that buffer is written before any tensor holds it, so it is
-no exception. After backward, only leaves (tensors built directly, not
-by an op) keep a .grad; each intermediate's gradient is freed once it has
-been passed to its inputs.
+A tensor, and any array a `_bp` captured, is immutable except for a
+leaf's gradient, and one graph belongs to a single logical thread. The
+exception is the decode key/value buffers of `model.KVCache`: `append`
+and `restart`'s slot copy write them in place, only under no_grad, and
+never into a view still in use (each is read by one attention call, then
+dropped). Attention's softmax runs in place in its own score buffer.
 
 Finiteness: a bare op raises FloatingPointError naming itself on inf or
 nan output. A training step, an eval window and a generate call skip that
@@ -91,20 +89,37 @@ def checked_once(fn):
     return run
 
 
-class Tensor:
-    """A dense n-dimensional array node in a compute graph."""
+class _Node:
+    """One op output's graph record; it keeps alive only what its _bp captured."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backprop", "_backward_done")
+    __slots__ = ("grad", "_prev", "_bp", "__weakref__")
+
+    def __init__(self, prev: tuple, bp):
+        self.grad, self._prev, self._bp = None, prev, bp
+
+    def _accum(self, g: np.ndarray) -> None:
+        # A first gradient that owns its memory is adopted: no backward keeps
+        # an array it hands over, or hands it twice, so this record's _bp may
+        # later write into it. Any other is copied in its own layout.
+        if self.grad is not None:
+            self.grad += g
+        elif g.flags.owndata and g.flags.writeable:
+            self.grad = g
+        else:
+            self.grad = np.copy(g)
+
+
+class Tensor:
+    """A dense n-dimensional array and, if an op recorded it, its record."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    _prev, _bp = (), None   # a leaf is its own record: no inputs, no backward
+    _accum = _Node._accum
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._prev: tuple[Tensor, ...] = ()
-        self._backprop = None
-        self._backward_done = False
-
-    # -- introspection -------------------------------------------------
+        self.grad, self.requires_grad = None, requires_grad
+        self._node: _Node | None = None   # set by _result alone
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,113 +135,98 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- graph plumbing ------------------------------------------------
-
-    def _accum(self, g: np.ndarray) -> None:
-        # A first gradient that owns its memory is adopted: no backward keeps
-        # an array it hands over, or hands it twice, so no one else holds it
-        # and this node's _bp may later write into it. Any other is copied in
-        # its own layout.
-        if self.grad is not None:
-            self.grad += g
-        elif g.flags.owndata and g.flags.writeable:
-            self.grad = g
-        else:
-            self.grad = np.copy(g)
-
     def backward(self) -> None:
-        """Populate the grads of every reachable leaf by reverse traversal.
-
-        Each intermediate node's .grad is freed as soon as it has been
-        passed to the node's inputs, so afterwards only leaves hold one.
-        The loss must be scalar, and a graph can be walked only once;
-        build a fresh forward graph for another pass.
-        """
+        """Populate the grads of every reachable leaf by a reverse walk of
+        the records. Each record's gradient is freed once passed to its
+        inputs, so only leaves keep one. The loss must be scalar, and a graph
+        is walked only once (its root's backward is dropped); build a fresh
+        forward graph for another pass."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar loss")
-        if self._backward_done:
+        root = self._node or self
+        if root._prev and root._bp is None:
             raise RuntimeError("backward already ran on this graph; rebuild the forward pass first")
-        self._backward_done = True
 
-        # Iterative post-order: each node appended exactly once.
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        # Iterative post-order: each record appended exactly once.
+        topo, seen, stack = [], set(), [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._prev:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._prev if p is not None and id(p) not in seen)
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backprop is not None:
-                # node.grad is this node's alone (see _accum): the _bp owns g.
+            if node._bp is not None:
+                # node.grad is this record's alone (see _accum): the _bp owns g.
                 g, node.grad = node.grad, None
-                node._backprop(g)
-
-    # -- arithmetic ----------------------------------------------------
+                node._bp(g, *node._prev)
+        if root is not self:
+            root._bp = None
 
     def __add__(self, other):
         other = _as_tensor(other)
-        def _bp(g):
+        s_shape, o_shape = self.shape, other.shape
+        def _bp(g, s, o):
             gs = None
-            if _tracked(self):
-                gs = _unbroadcast(g, self.shape)
-                self._accum(gs)
-            if _tracked(other):
-                go = _unbroadcast(g, other.shape)
-                # _accum may adopt gs, so other must not get the same array.
-                other._accum(go.copy() if go is gs else go)
+            if s is not None:
+                gs = _unbroadcast(g, s_shape)
+                s._accum(gs)
+            if o is not None:
+                go = _unbroadcast(g, o_shape)
+                # _accum may adopt gs, so o must not get the same array.
+                o._accum(go.copy() if go is gs else go)
         return _result(np.add(self.data, other.data), (self, other), "add", _bp)
 
     def __mul__(self, other):
         other = _as_tensor(other)
-        def _bp(g):
-            # other's term first, from g before self's term overwrites it
-            if _tracked(other):
-                other._accum(_unbroadcast(g * self.data, other.shape))
-            if _tracked(self):
-                g *= other.data
-                self._accum(_unbroadcast(g, self.shape))
+        s_shape, o_shape = self.shape, other.shape
+        s_data, o_data = _record(other) and self.data, _record(self) and other.data
+        def _bp(g, s, o):
+            # o's term first, from g before s's term overwrites it
+            if o is not None:
+                o._accum(_unbroadcast(g * s_data, o_shape))
+            if s is not None:
+                g *= o_data
+                s._accum(_unbroadcast(g, s_shape))
         return _result(np.multiply(self.data, other.data), (self, other), "mul", _bp)
 
     def relu(self) -> "Tensor":
-        def _bp(g):
-            g *= self.data > 0
-            self._accum(g)
-        return _result(np.maximum(self.data, 0.0), (self,), "relu", _bp)
+        data = np.maximum(self.data, 0.0)
+        def _bp(g, s):
+            g *= data > 0   # the output's mask is the input's
+            s._accum(g)
+        return _result(data, (self,), "relu", _bp)
 
     def reshape(self, *shape: int) -> "Tensor":
-        def _bp(g):
-            self._accum(g.reshape(self.shape))
+        s_shape = self.shape
+        def _bp(g, s):
+            s._accum(g.reshape(s_shape))
         return _result(self.data.reshape(shape), (self,), "reshape", _bp)
 
     def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        def _bp(g):
-            self._accum(np.transpose(g, np.argsort(axes)))
+        def _bp(g, s):
+            s._accum(np.transpose(g, np.argsort(axes)))
         return _result(np.transpose(self.data, axes), (self,), "transpose", _bp)
 
     def __getitem__(self, key) -> "Tensor":
         # The backward adds g in place to the parent's grad, which _accum owns
         # alone. `+=` adds once per element, so the key must pick each at most
         # once, as basic slices and the loss's (position, target) pairs do.
-        def _bp(g):
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            self.grad[key] += g
+        s_shape = self.shape
+        def _bp(g, s):
+            if s.grad is None:
+                s.grad = np.zeros(s_shape)
+            s.grad[key] += g
         return _result(self.data[key], (self,), "slice", _bp)
 
     def sum(self) -> "Tensor":
-        def _bp(g):
-            self._accum(np.full(self.shape, g))
+        s_shape = self.shape
+        def _bp(g, s):
+            s._accum(np.full(s_shape, g))
         return _result(self.data.sum(), (self,), "sum", _bp)
 
 
@@ -234,17 +234,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._prev)
+def _record(t: Tensor) -> _Node | Tensor | None:
+    """t's op's record, or t itself as a leaf wanting a gradient, or None."""
+    return t._node or (t if t.requires_grad else None)
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str, backprop) -> Tensor:
+def _result(data: np.ndarray, inputs: tuple[Tensor, ...], op: str, backprop) -> Tensor:
     if _CHECK_OPS:
         _check_finite(data, op)
     out = Tensor(data)
-    if _GRAD_ENABLED and any(_tracked(p) for p in parents):
-        out._prev = parents
-        out._backprop = backprop
+    prev = _GRAD_ENABLED and tuple(map(_record, inputs))
+    if prev and any(r is not None for r in prev):
+        out._node = _Node(prev, backprop)
     return out
 
 
@@ -272,14 +273,15 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.shape != (n,):
             raise ValueError(f"matmul bias must be ({n},) for {a.shape} @ {b.shape}, got {bias.shape}")
         data += bias.data
-    def _bp(g):
-        if _tracked(a):
-            a._accum(g @ b.data.T)
+    a_data, b_data = _record(b) and a.data, _record(a) and b.data   # each if the other is tracked
+    def _bp(g, ra, rb, rbias=None):
+        if ra is not None:
+            ra._accum(g @ b_data.T)
         g2 = g.reshape(-1, n)
-        if _tracked(b):
-            b._accum(a.data.reshape(-1, k).T @ g2)
-        if bias is not None and _tracked(bias):
-            bias._accum(g2.sum(axis=0))
+        if rb is not None:
+            rb._accum(a_data.reshape(-1, k).T @ g2)
+        if rbias is not None:
+            rbias._accum(g2.sum(axis=0))
     return _result(data, (a, b) if bias is None else (a, b, bias), "matmul", _bp)
 
 
@@ -303,10 +305,10 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     data = np.empty(shape)
     for t, key in zip(tensors, keys):
         data[key] = t.data
-    def _bp(g):
-        for t, key in zip(tensors, keys):
-            if _tracked(t):
-                t._accum(_unbroadcast(g[key], t.shape))
+    def _bp(g, *records):
+        for r, s, key in zip(records, shapes, keys):
+            if r is not None:
+                r._accum(_unbroadcast(g[key], s))
     return _result(data, tuple(tensors), "concat", _bp)
 
 
@@ -315,22 +317,22 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValueError("embedding id out of range")
-    def _bp(g):
-        gt = np.zeros_like(table.data)
+    t_shape = table.shape
+    def _bp(g, t):
+        gt = np.zeros(t_shape)
         np.add.at(gt, ids, g)
-        table._accum(gt)
+        t._accum(gt)
     return _result(table.data[ids], (table,), "embedding", _bp)
 
 
 def log_softmax_last(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = shifted - logz
-    def _bp(g):
+    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    def _bp(g, s):
         e = np.exp(data)
         g -= np.multiply(e, g.sum(axis=-1, keepdims=True), out=e)
-        x._accum(g)
+        s._accum(g)
     return _result(data, (x,), "log_softmax_last", _bp)
 
 
@@ -348,29 +350,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     data = xhat * gain.data
     data += bias.data
-    def _bp(g):
-        lead = tuple(range(x.ndim - 1))
-        if _tracked(gain):
-            gain._accum((g * xhat).sum(axis=lead))
-        if _tracked(bias):
-            bias._accum(g.sum(axis=lead))
-        if _tracked(x):
+    lead, gain_data = tuple(range(x.ndim - 1)), gain.data
+    def _bp(g, rx, rgain, rbias):
+        if rgain is not None:
+            rgain._accum((g * xhat).sum(axis=lead))
+        if rbias is not None:
+            rbias._accum(g.sum(axis=lead))
+        if rx is not None:
             # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), in place
-            gh = np.multiply(g, gain.data, out=g)
+            gh = np.multiply(g, gain_data, out=g)
             t = gh * xhat
             m = np.add.reduce(t, axis=-1, keepdims=True) / d
             np.multiply(xhat, m, out=t)
             gh -= np.add.reduce(gh, axis=-1, keepdims=True) / d
             gh -= t
             gh *= inv
-            x._accum(gh)
+            rx._accum(gh)
     return _result(data, (x, gain, bias), "layer_norm", _bp)
 
 
 def _rotation(positions: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     # Pairwise rotation angles for dims (0,1), (2,3), ... with base 10000.
-    half = d // 2
-    freqs = 10000.0 ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
+    freqs = 10000.0 ** (-np.arange(d // 2, dtype=np.float64) * 2.0 / d)
     ang = positions[:, None].astype(np.float64) * freqs[None, :]
     return np.cos(ang), np.sin(ang)
 
@@ -404,8 +405,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
 
-    t_q, dim = q.shape[-2], q.shape[-1]
-    t_k = k.shape[-2]
+    t_q, t_k, dim = q.shape[-2], k.shape[-2], q.shape[-1]
     q_start = t_k - t_q
     if heads < 1 or dim % heads != 0:
         raise ValueError(f"attention dim {dim} does not split into {heads} heads")
@@ -440,21 +440,21 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
 
-    def _bp(g):
+    def _bp(g, rq, rk, rv):
         g = split(g)
         gs = np.matmul(g, np.swapaxes(vh, -1, -2))   # the weights' gradient,
         gs -= (gs * weights).sum(axis=-1, keepdims=True)
         gs *= weights                                 # then the scores'
-        if _tracked(k):
+        if rk is not None:
             gkr = np.matmul(np.swapaxes(gs, -1, -2), qr)
             gkr *= scale
-            k._accum(merge(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr))
-        if _tracked(v):
-            v._accum(merge(np.matmul(np.swapaxes(weights, -1, -2), g)))
-        if _tracked(q):
+            rk._accum(merge(_rotate(gkr, cos_k, sin_k, invert=True) if rotary else gkr))
+        if rv is not None:
+            rv._accum(merge(np.matmul(np.swapaxes(weights, -1, -2), g)))
+        if rq is not None:
             gqr = np.matmul(gs, kr)
             gqr *= scale
-            q._accum(merge(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr))
+            rq._accum(merge(_rotate(gqr, cos_q, sin_q, invert=True) if rotary else gqr))
     return _result(merge(np.matmul(weights, vh)), (q, k, v), "causal_attention", _bp)
 
 

@@ -446,6 +446,18 @@ def test_scan_inverse_rejects_an_empty_image(workdir, capsys, mode, dims):
     assert not (workdir / "out.ppm").exists()
 
 
+@pytest.mark.parametrize("header", [b"P62 2 255\n", b"P6 +2 1 255\n", b"P6 1_0 1 255\n"],
+                         ids=["magic-without-whitespace", "signed-field", "underscored-field"])
+def test_scan_malformed_ppm_header_exit2(workdir, capsys, header):
+    (workdir / "img.ppm").write_bytes(header + bytes(30 * 3))
+    rc = main(["scan", "--ppm", str(workdir / "img.ppm"), "--mode", "raster",
+               "--out", str(workdir / "seq.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (workdir / "seq.bin").exists()
+
+
 @pytest.mark.parametrize("argv, match", [
     (["--mode", "patch"], "--patch-size"),
     (["--mode", "raster", "--inverse", "--width", "4"], "--width and --height"),

@@ -180,6 +180,15 @@ def test_parse_ppm_bad_maxval():
         parse_ppm(b"P6 1 1 65535\n" + bytes(6))
 
 
+@pytest.mark.parametrize("header", [b"P62 2 255\n", b"P6 +2 1 255\n", b"P6 1_0 1 255\n"],
+                         ids=["magic-without-whitespace", "signed-field", "underscored-field"])
+def test_parse_ppm_rejects_headers_int_would_read(header):
+    # int() reads "+2" and "1_0"; "P62" is not the P6 magic followed by
+    # whitespace. Each would otherwise parse as an image.
+    with pytest.raises(ValueError, match="magic|header field"):
+        parse_ppm(header + bytes(30 * 3))
+
+
 def test_parse_ppm_truncated():
     with pytest.raises(ValueError, match="truncated"):
         parse_ppm(b"P6 2 2 255\n" + bytes(11))

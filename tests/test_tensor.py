@@ -202,7 +202,7 @@ def test_backward_peak_allocation(op, bound):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out._backprop(g)
+        out._node._bp(g, *out._node._prev)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -453,8 +453,9 @@ def test_repeated_backward_is_error():
 
 
 def test_graph_is_freed_by_reference_counting():
-    # No backward closure refers to the node that holds it, so a walked
-    # graph dies with its last reference, with the cycle collector off.
+    # No backward captures a Tensor or a record, so a walked graph, with
+    # every array its backwards captured, dies with its last reference,
+    # with the cycle collector off.
     rng = np.random.default_rng(0)
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -470,15 +471,15 @@ def test_graph_is_freed_by_reference_counting():
         c = T.concat([a, w[:1].reshape(1, 1, 4, 1)], axis=-2)   # broadcast along rows
         c = T.dropout(c, 0.5, np.random.default_rng(1)) + T.matmul(c, Tensor(np.full((4, 1), -0.25)))
         loss = T.log_softmax_last(c)[0, 0, np.arange(5), np.zeros(5, dtype=np.int64)].sum()
-        nodes, stack = [], [loss]
-        while stack:
-            node = stack.pop()
-            if node._prev:
-                nodes.append(node)
-                stack.extend(node._prev)
-        refs = [weakref.ref(n.data) for n in nodes]
+        records = graph_records(loss)
+        nodes = [r for r in records if isinstance(r, T._Node)]
+        leaves = [r.data for r in records if isinstance(r, Tensor)]
+        arrays = [a for a in captured_arrays(nodes)
+                  if not any(np.shares_memory(a, d) for d in leaves)]
+        assert len(nodes) > 20 and len(arrays) > 10
+        refs = [weakref.ref(obj) for obj in nodes + arrays]
         loss.backward()
-        del x, h, q, kv, a, c, loss, nodes, stack, node
+        del x, h, q, kv, a, c, loss, records, nodes, leaves, arrays
         assert all(r() is None for r in refs)
         assert w.grad is not None and table.grad is not None and kernel.grad is not None
     finally:
@@ -486,15 +487,18 @@ def test_graph_is_freed_by_reference_counting():
 
 
 def test_only_result_records_a_backward():
-    # An op hands its backward to _result and never sets _prev or
-    # _backprop itself, so no closure can hold the node it belongs to.
+    # Only _result makes a record, and no op sets a record's inputs or
+    # backward, or a tensor's record: a closure cannot hold the record it
+    # belongs to. backward drops its root's backward once walked.
     with open(T.__file__) as fh:
         tree = ast.parse(fh.read())
-    setters = set()
+    setters, makers = set(), set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_Node":
+            makers.add(scope)
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -504,14 +508,16 @@ def test_only_result_records_a_backward():
             t = targets.pop()
             if isinstance(t, (ast.Tuple, ast.List)):
                 targets.extend(t.elts)
-            elif isinstance(t, ast.Attribute) and t.attr in ("_prev", "_backprop"):
+            elif isinstance(t, ast.Attribute) and t.attr in ("_node", "_prev", "_bp"):
                 setters.add((scope, t.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, "")
-    assert setters == {("Tensor.__init__", "_prev"), ("Tensor.__init__", "_backprop"),
-                       ("_result", "_prev"), ("_result", "_backprop")}
+    assert makers == {"_result"}
+    assert setters == {("_Node.__init__", "_prev"), ("_Node.__init__", "_bp"),
+                       ("Tensor.__init__", "_node"), ("_result", "_node"),
+                       ("Tensor.backward", "_bp")}
 
 
 def test_backward_keeps_only_leaf_gradients():
@@ -587,27 +593,65 @@ def test_diamond_graph_visits_once():
     assert x.grad[0] == pytest.approx(4.0)
 
 
-def backward_intact(loss: Tensor) -> list[Tensor]:
-    """Run loss.backward() and check that it wrote into no reachable node's
-    .data and that no leaf's grad shares memory with another leaf's grad or
-    with any node's .data; returns the leaves that got a grad."""
-    nodes, seen, stack = [], set(), [loss]
+def graph_records(loss: Tensor) -> list:
+    """Every record backward walks from loss: op records and leaf tensors."""
+    records, seen, stack = [], set(), [loss._node or loss]
     while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._prev)
-    before = [node.data.tobytes() for node in nodes]
+        record = stack.pop()
+        if record is not None and id(record) not in seen:
+            seen.add(id(record))
+            records.append(record)
+            stack.extend(record._prev)
+    return records
+
+
+def captured(fn) -> list:
+    """Every object fn's closure holds, through nested closures, lists and
+    tuples (an unbound cell holds nothing)."""
+    out, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if callable(obj) and hasattr(obj, "__closure__"):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:
+                    pass
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        else:
+            out.append(obj)
+    return out
+
+
+def captured_arrays(nodes) -> list[np.ndarray]:
+    """The arrays the backwards of the op records `nodes` captured, each once."""
+    arrays = {id(a): a for n in nodes for a in captured(n._bp) if isinstance(a, np.ndarray)}
+    return list(arrays.values())
+
+
+def backward_intact(loss: Tensor, *held: np.ndarray) -> list[Tensor]:
+    """Run loss.backward() and check that it wrote into no array a recorded
+    backward captured, no leaf's .data and none of `held`, and that no
+    leaf's grad shares memory with another leaf's grad or with any of those
+    arrays; returns the leaves that got a grad."""
+    records = graph_records(loss)
+    leaves = [r for r in records if isinstance(r, Tensor)]
+    arrays = captured_arrays([r for r in records if isinstance(r, T._Node)])
+    arrays += [leaf.data for leaf in leaves] + list(held)
+    before = [a.tobytes() for a in arrays]
     loss.backward()
-    for node, data in zip(nodes, before):
-        assert node.data.tobytes() == data, node
-    leaves = [node for node in nodes if not node._prev and node.grad is not None]
+    for a, data in zip(arrays, before):
+        assert a.tobytes() == data, a.shape
+    leaves = [leaf for leaf in leaves if leaf.grad is not None]
     for i, leaf in enumerate(leaves):
         for other in leaves[i + 1:]:
             assert not np.shares_memory(leaf.grad, other.grad)
-        for node in nodes:
-            assert not np.shares_memory(leaf.grad, node.data)
+        for a in arrays:
+            assert not np.shares_memory(leaf.grad, a)
     return leaves
 
 
@@ -768,11 +812,13 @@ def test_dropout_inverted_scaling():
     assert abs(len(kept) / 1000 - 0.75) < 0.05
 
 
-def test_no_grad_blocks_graph():
+def test_no_grad_blocks_graph(monkeypatch):
+    made = []
+    monkeypatch.setattr(T, "_Node", lambda *args: made.append(args))
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
-        y = x * 2.0
-    assert y._prev == ()
+        y = T.layer_norm(x * 2.0, x, x).relu()
+    assert y._node is None and not made
 
 
 # -- reach -----------------------------------------------------------------------
