@@ -299,20 +299,22 @@ class MegabyteDecoder:
         each width w adds relu(`_causal_conv`(rows, conv{w})) to its input
         rows, so its filter taps run in matmul like every other weight.
         One embedding call covers the ids from CONV_CONTEXT bytes before
-        patch k0's input to the end, so ids that stop where patch k1 - 1's
-        input stops give the same rows as the whole sequence.
+        patch k0's input to the end of patch k1 - 1's, the last byte a row
+        reads, so ids that stop there give the same rows as the whole sequence.
         """
         cfg, p = self.config, self.params
         b, t = ids.shape
         ps, m = cfg.patch_size, cfg.patch_size * cfg.global_dim
+        if ids.size and not 0 <= ids.min() <= ids.max() < cfg.vocab_size:
+            raise ValueError("byte id out of range")   # the last patch is not embedded
         k1 = t // ps if k1 is None else k1
         first = max(k0, 1)
-        lo = max(0, (first - 1) * ps - CONV_CONTEXT)
-        emb = T.embedding(p["global_embed"], ids[:, lo:]) + p["global_pos"][lo:t]
+        lo, hi = max(0, (first - 1) * ps - CONV_CONTEXT), max(0, k1 - 1) * ps
+        emb = T.embedding(p["global_embed"], ids[:, lo:hi]) + p["global_pos"][lo:hi]
         if cfg.conv_active:
             for w in CONV_WIDTHS:
                 emb = emb + _causal_conv(emb, p[f"conv{w}"]).relu()
-        rows = emb[:, (first - 1) * ps - lo:(k1 - 1) * ps - lo].reshape(b, k1 - first, m)
+        rows = emb[:, (first - 1) * ps - lo:].reshape(b, k1 - first, m)
         return T.concat([p["global_pad"].reshape(1, 1, m), rows], axis=1) if k0 == 0 else rows
 
     # -- transformer stacks ----------------------------------------------
@@ -323,26 +325,31 @@ class MegabyteDecoder:
     def _layer(self, scope: str, i: int, x: Tensor, rng=None,
                cache: KVCache | None = None, k0: int = 0) -> Tensor:
         """Pre-norm layer i of the global (scope "g", rows are patches) or
-        the local stack (scope "l", batched over (B, K) patches of rows).
+        the local stack (scope "l", batched over (B, K) patches of rows), on
+        rows k0.. of x. Each name ends at its last reader, so a no-grad layer
+        peaks at the residual sum and both sides of the feed-forward's ReLU."""
+        name, rate = f"{scope}{i}", self.config.dropout
+        x = (x[:, k0:] if k0 > 0 else x) + T.dropout(
+            self._attention(scope, name, x, cache, k0), rate, rng)
+        return x + T.dropout(self._feed_forward(name, x), rate, rng)
 
-        Keys and values come from every row of x, but queries and all that
-        follows them only from rows k0.., which are all the layer returns;
-        `causal_attention` splits their heads. With a cache, x holds only
-        new rows: their keys and values are appended to it and they attend
-        over every cached row. With cross-patch attention, the last r
-        key/value rows of the previous patch at the same layer (zeros before
-        the first) lead each local patch's keys, as a cache's `lead` rows or
-        concatenated here, and rotary positions make them its r nearest
-        earlier positions.
-        """
+    def _attention(self, scope: str, name: str, x: Tensor, cache: KVCache | None,
+                   k0: int) -> Tensor:
+        """Attention output of layer `name`: keys and values come from every
+        row of its input x, but queries and all that follows them only from
+        rows k0..; `causal_attention` splits their heads. With a cache, x
+        holds only new rows: their keys and values are appended to it and
+        they attend over every cached row. With cross-patch attention, the
+        last r key/value rows of the previous patch at the same layer (zeros
+        before the first) lead each local patch's keys, as a cache's `lead`
+        rows or concatenated here, and rotary positions make them its r
+        nearest earlier positions."""
         cfg, p = self.config, self.params
-        name = f"{scope}{i}"
         heads = cfg.global_heads if scope == "g" else cfg.local_heads
-        a = aq = self._ln(f"{name}.ln1", x)
-        if k0 > 0:
-            x, aq = x[:, k0:], a[:, k0:]
+        a = self._ln(f"{name}.ln1", x)
         q, k, v = (T.matmul(rows, p[f"{name}.attn.w{c}"], p[f"{name}.attn.b{c}"])
-                   for c, rows in (("q", aq), ("k", a), ("v", a)))
+                   for c, rows in (("q", a[:, k0:] if k0 > 0 else a), ("k", a), ("v", a)))
+        del a
         r = cfg.cross_patch_window if scope == "l" and cfg.cross_patch_active else 0
         if cache is not None:
             k, v = cache.append(k, v)
@@ -350,11 +357,13 @@ class MegabyteDecoder:
             k = T.concat([_cross_slots(k, r), k], axis=-2)
             v = T.concat([_cross_slots(v, r), v], axis=-2)
         att = T.causal_attention(q, k, v, heads, rotary=r > 0)
-        att = T.matmul(att, p[f"{name}.attn.wo"], p[f"{name}.attn.bo"])
-        x = x + T.dropout(att, cfg.dropout, rng)
+        del q, k, v
+        return T.matmul(att, p[f"{name}.attn.wo"], p[f"{name}.attn.bo"])
+
+    def _feed_forward(self, name: str, x: Tensor) -> Tensor:
+        p = self.params
         h = T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"], p[f"{name}.ff.b1"]).relu()
-        f = T.matmul(h, p[f"{name}.ff.w2"], p[f"{name}.ff.b2"])
-        return x + T.dropout(f, cfg.dropout, rng)
+        return T.matmul(h, p[f"{name}.ff.w2"], p[f"{name}.ff.b2"])
 
     def _depth(self, scope: str) -> int:
         """Layers the global ("g") or local ("l") stack runs: none when its
@@ -469,7 +478,8 @@ class MegabyteDecoder:
             raise ValueError("need 0 <= k0 < T/P and 1 <= stop <= P")
 
         # One name for every stage, so that without a graph each stage's
-        # output is freed once the next is built.
+        # output is freed once the next is built; in `_layer`, each name ends
+        # at its last reader.
         cut = (0, None)
         if cfg.cross_patch_active:  # slots read the patch before: cut after the stack
             cut, k0, stop = (k0, stop), 0, None

@@ -24,6 +24,8 @@ the caller drops is freed in forward unless a backward captured it, and a
 value only backward needs is computed in `_bp`. The array g that backward
 hands to a `_bp` belongs to that call: relu, mul (for its left operand),
 log_softmax_last and layer_norm overwrite g in place and hand it on.
+Forward, too, holds only what its next step reads: log_softmax_last runs
+its exp in its own output, and computes x - max there twice.
 
 A tensor, and any array a `_bp` captured, is immutable except for a
 leaf's gradient, and one graph belongs to a single logical thread. The
@@ -327,8 +329,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def log_softmax_last(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    top = x.data.max(axis=-1, keepdims=True)
+    data = np.subtract(x.data, top)   # the exp's scratch, then x - top again
+    sums = np.exp(data, out=data).sum(axis=-1, keepdims=True)
+    np.subtract(x.data, top, out=data)
+    data -= np.log(sums)
     def _bp(g, s):
         e = np.exp(data)
         g -= np.multiply(e, g.sum(axis=-1, keepdims=True), out=e)

@@ -1,11 +1,13 @@
 """Shared oracles: central finite differences and independent reference
 implementations kept deliberately separate from the library code paths;
-the helpers the finiteness-check tests share; and a recorder of the
-shapes attention runs on, from which the cost law's work is counted."""
+the helpers the finiteness-check tests share; a recorder of the shapes
+attention runs on, from which the cost law's work is counted; and the
+traced allocation peak the memory tests bound."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -216,3 +218,15 @@ def record_attention(monkeypatch) -> list[AttentionCall]:
 
     monkeypatch.setattr(T, "causal_attention", recorded)
     return calls
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc counts while fn() runs, above those live
+    when it starts."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

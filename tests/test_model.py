@@ -9,12 +9,20 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fd_grad, max_rel_err, prepare_generic_point, ref_attention, ref_causal_conv
+from conftest import (
+    fd_grad,
+    max_rel_err,
+    prepare_generic_point,
+    ref_attention,
+    ref_causal_conv,
+    traced_peak,
+)
 from test_tensor import _check_grads, backward_intact, captured, graph_records
 
 from megabyte import tensor as T
 from megabyte.model import (
     CONV_WIDTHS,
+    FF_MULT,
     MegabyteDecoder,
     ModelConfig,
     _causal_conv,
@@ -169,6 +177,26 @@ def test_embed_global_patch_range_matches_whole_sequence(conv):
             assert np.array_equal(part, whole[:, k0:k1]), (k0, k1)
             uncut = m.embed_global(ids, k0, k1).data
             assert np.array_equal(uncut, whole[:, k0:k1]), (k0, k1)
+
+
+@pytest.mark.parametrize("conv", [False, True])
+def test_forward_embeds_no_byte_of_the_last_patch(conv, monkeypatch):
+    # No global row reads the last patch's bytes (patch K's input would),
+    # so forward neither embeds nor convolves them: embed_global hands
+    # (K - 1) * P ids to its one embedding call.
+    cfg = toy_config(context_len=64, conv_encoder=conv)
+    m = build(cfg, seed=5)
+    seen, real = [], T.embedding
+
+    def recorded(table, ids):
+        if table is m.params["global_embed"]:
+            seen.append(np.shape(ids))
+        return real(table, ids)
+
+    monkeypatch.setattr(T, "embedding", recorded)
+    with T.no_grad():
+        m.forward(np.random.default_rng(6).integers(0, cfg.vocab_size, size=(2, 64)))
+    assert seen == [(2, (64 // 4 - 1) * 4)]
 
 
 # -- causal conv: the patch encoder's filters, one matmul per tap ---------------------
@@ -393,6 +421,28 @@ def test_local_forward_matches_reference_stack():
         rows = ref_transformer_stack(h, m.params, "l", 2, heads=2, window=r).reshape(12, 4)
         ref = rows @ m.params["local_embed"].data.T
         assert np.allclose(got, ref, rtol=0, atol=1e-10), r
+
+
+@pytest.mark.parametrize("window", [0, 2])
+def test_no_grad_local_layer_peaks_at_its_feed_forward(window, monkeypatch):
+    # A unit is one (B, K, P, D_L) activation. Each name in a layer ends at
+    # its last reader, so a no-grad local layer peaks at the residual sum
+    # (1) plus the feed-forward's hidden rows before and after ReLU
+    # (FF_MULT each). A quarter unit more covers small arrays; attention's
+    # scores, P / D_L = 1/8 of a unit, die before the feed-forward runs.
+    # Holding the normed rows, q, k, v and the attention output to the end,
+    # as one name per intermediate does, measures 14-14.5. The finiteness
+    # scan's masks are off, as under checked_once.
+    b, k, p, d = 4, 32, 8, 64
+    cfg = toy_config(context_len=k * p, patch_size=p, local_dim=d, local_heads=1,
+                     cross_patch_window=window)
+    m = build(cfg, seed=30)
+    x = T.Tensor(np.random.default_rng(31).normal(size=(b, k, p, d)))
+    monkeypatch.setattr(T, "_CHECK_OPS", False)
+    with T.no_grad():
+        peak = traced_peak(lambda: m._layer("l", 0, x))
+    unit = x.data.nbytes
+    assert peak <= (1 + 2 * FF_MULT + 0.25) * unit, peak / unit
 
 
 def test_cross_patch_extras_change_later_patch_only():

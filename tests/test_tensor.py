@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fd_grad, max_rel_err, ref_attention
+from conftest import fd_grad, max_rel_err, ref_attention, traced_peak
 
 from megabyte import tensor as T
 from megabyte.data import Document, make_windows
@@ -185,6 +185,30 @@ def test_log_softmax_holds_only_its_output_until_backward():
     finally:
         tracemalloc.stop()
     assert out.data.nbytes <= held < 1.1 * out.data.nbytes, held / out.data.nbytes
+
+
+def test_log_softmax_matches_the_two_pass_formula_bit_for_bit(monkeypatch):
+    # The output doubles as the exp's scratch, and x - max is computed into
+    # it twice; the bits stay those of shifted - log(sum(exp(shifted))), at
+    # magnitudes up to 1e300, with -inf entries, on strided inputs too.
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(6, 40, 256)) * 10.0 ** rng.integers(-3, 301, size=(6, 40, 1))
+    rows[rng.random(rows.shape) < 0.1] = -np.inf
+    monkeypatch.setattr(T, "_CHECK_OPS", False)   # -inf in, -inf out
+    for x in (rows, rows[:, ::3, 1:], np.swapaxes(rows, 0, 1)):
+        shifted = x - x.max(axis=-1, keepdims=True)
+        want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        assert np.array_equal(T.log_softmax_last(Tensor(x)).data, want)
+
+
+def test_log_softmax_peaks_at_one_output_above_its_input(monkeypatch):
+    # Two output-sized arrays at once (x - max and its exp) measure 2.0.
+    # The finiteness scan's mask, an eighth more, is off as under
+    # checked_once, where training and eval run.
+    monkeypatch.setattr(T, "_CHECK_OPS", False)
+    x = Tensor(np.random.default_rng(8).normal(size=(16, 128, 256)))
+    peak = traced_peak(lambda: T.log_softmax_last(x))
+    assert peak <= 1.1 * x.data.nbytes, peak / x.data.nbytes
 
 
 @pytest.mark.parametrize("op,bound", [("relu", 0.2), ("log_softmax_last", 1.1), ("layer_norm", 1.1)])
