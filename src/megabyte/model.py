@@ -305,8 +305,7 @@ class MegabyteDecoder:
         cfg, p = self.config, self.params
         b, t = ids.shape
         ps, m = cfg.patch_size, cfg.patch_size * cfg.global_dim
-        if ids.size and not 0 <= ids.min() <= ids.max() < cfg.vocab_size:
-            raise ValueError("byte id out of range")   # the last patch is not embedded
+        self._check_ids(ids)   # the last patch is not embedded
         k1 = t // ps if k1 is None else k1
         first = max(k0, 1)
         lo, hi = max(0, (first - 1) * ps - CONV_CONTEXT), max(0, k1 - 1) * ps
@@ -316,6 +315,10 @@ class MegabyteDecoder:
                 emb = emb + _causal_conv(emb, p[f"conv{w}"]).relu()
         rows = emb[:, (first - 1) * ps - lo:].reshape(b, k1 - first, m)
         return T.concat([p["global_pad"].reshape(1, 1, m), rows], axis=1) if k0 == 0 else rows
+
+    def _check_ids(self, ids: np.ndarray) -> None:
+        if ids.size and not 0 <= ids.min() <= ids.max() < self.config.vocab_size:
+            raise ValueError("byte id out of range")
 
     # -- transformer stacks ----------------------------------------------
 
@@ -327,11 +330,13 @@ class MegabyteDecoder:
         """Pre-norm layer i of the global (scope "g", rows are patches) or
         the local stack (scope "l", batched over (B, K) patches of rows), on
         rows k0.. of x. Each name ends at its last reader, so a no-grad layer
-        peaks at the residual sum and both sides of the feed-forward's ReLU."""
+        peaks at the residual sum and both sides of the feed-forward's ReLU.
+        The local feed-forward, two thin GEMMs per byte, rebuilds in backward."""
         name, rate = f"{scope}{i}", self.config.dropout
         x = (x[:, k0:] if k0 > 0 else x) + T.dropout(
             self._attention(scope, name, x, cache, k0), rate, rng)
-        return x + T.dropout(self._feed_forward(name, x), rate, rng)
+        ff = lambda h: self._feed_forward(name, h)
+        return x + T.dropout(ff(x) if scope == "g" else T.recompute(ff, x), rate, rng)
 
     def _attention(self, scope: str, name: str, x: Tensor, cache: KVCache | None,
                    k0: int) -> Tensor:
@@ -476,6 +481,7 @@ class MegabyteDecoder:
             raise ValueError("input length must be a multiple of patch_size, at most context_len")
         if not 0 <= k0 < max(1, t // p) or stop is not None and not 1 <= stop <= p:
             raise ValueError("need 0 <= k0 < T/P and 1 <= stop <= P")
+        self._check_ids(ids)   # no half embeds the last byte of every patch
 
         # One name for every stage, so that without a graph each stage's
         # output is freed once the next is built; in `_layer`, each name ends

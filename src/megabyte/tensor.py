@@ -8,9 +8,9 @@ an optional (n,) bias added into the product as one node), concat
 (broadcasting its inputs off the join axis), embedding (row lookup),
 log_softmax_last, layer_norm, causal_attention (fused, on
 (..., t, heads * d) rows whose heads it splits as numpy views, with
-optional rotary positions) and dropout. Every product with a weight
-matrix, the conv encoder's filter taps included, runs in matmul. Every
-array is float64, the precision the gradient checks are stated for.
+optional rotary positions), dropout and recompute. Every product with a
+weight matrix, the conv encoder's filter taps included, runs in matmul.
+Every array is float64, the precision the gradient checks are stated for.
 
 Op contract: an op computes its output and its backward, a closure
 `_bp(g, *records)` that adds the output's gradient g into its inputs'
@@ -25,7 +25,9 @@ value only backward needs is computed in `_bp`. The array g that backward
 hands to a `_bp` belongs to that call: relu, mul (for its left operand),
 log_softmax_last and layer_norm overwrite g in place and hand it on.
 Forward, too, holds only what its next step reads: log_softmax_last runs
-its exp in its own output, and computes x - max there twice.
+its exp in its own output, and computes x - max there twice. dropout's
+backward keeps a bool mask. recompute's backward holds only its input's
+values and the function it replays, whose graph lives inside that backward.
 
 A tensor, and any array a `_bp` captured, is immutable except for a
 leaf's gradient, and one graph belongs to a single logical thread. The
@@ -148,24 +150,7 @@ class Tensor:
         root = self._node or self
         if root._prev and root._bp is None:
             raise RuntimeError("backward already ran on this graph; rebuild the forward pass first")
-
-        # Iterative post-order: each record appended exactly once.
-        topo, seen, stack = [], set(), [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-            elif id(node) not in seen:
-                seen.add(id(node))
-                stack.append((node, True))
-                stack.extend((p, False) for p in node._prev if p is not None and id(p) not in seen)
-
-        root.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._bp is not None:
-                # node.grad is this record's alone (see _accum): the _bp owns g.
-                g, node.grad = node.grad, None
-                node._bp(g, *node._prev)
+        _walk(root, np.ones_like(self.data))
         if root is not self:
             root._bp = None
 
@@ -249,6 +234,26 @@ def _result(data: np.ndarray, inputs: tuple[Tensor, ...], op: str, backprop) -> 
     if prev and any(r is not None for r in prev):
         out._node = _Node(prev, backprop)
     return out
+
+
+def _walk(root, g: np.ndarray) -> None:
+    """Hand g to record root, then run each backward it reaches once, in reverse post-order."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._prev if p is not None and id(p) not in seen)
+
+    root.grad = g
+    for node in reversed(topo):
+        if node._bp is not None:
+            # node.grad is this record's alone (see _accum): the _bp owns g.
+            g, node.grad = node.grad, None
+            node._bp(g, *node._prev)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -467,5 +472,28 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout from an explicit RNG stream; rng=None disables."""
     if rng is None or rate <= 0.0:
         return x
-    keep = rng.random(x.shape)
-    return x * Tensor(np.divide(keep >= rate, 1.0 - rate, out=keep))
+    keep, scale = rng.random(x.shape) >= rate, 1.0 / (1.0 - rate)
+    data = x.data * keep
+    data *= scale
+    def _bp(g, s):
+        g *= keep
+        g *= scale
+        s._accum(g)
+    return _result(data, (x,), "dropout", _bp)
+
+
+def recompute(fn, x: Tensor) -> Tensor:
+    """fn(x), whose graph backward rebuilds from x's values. fn maps x to one
+    tensor by engine ops on x and parameter leaves, and draws no randomness.
+    Under grad x must be tracked: the record made here has no other input."""
+    if not _GRAD_ENABLED:
+        return fn(x)
+    if _record(x) is None:
+        raise ValueError("recompute needs a tracked input under grad")
+    with no_grad():
+        data, x_data = fn(x).data, x.data
+    def _bp(g, rx):
+        leaf = Tensor(x_data, requires_grad=True)
+        _walk(fn(leaf)._node, g)
+        rx._accum(leaf.grad)
+    return _result(data, (x,), "recompute", _bp)

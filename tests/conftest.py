@@ -1,8 +1,9 @@
 """Shared oracles: central finite differences and independent reference
 implementations kept deliberately separate from the library code paths;
 the helpers the finiteness-check tests share; a recorder of the shapes
-attention runs on, from which the cost law's work is counted; and the
-traced allocation peak the memory tests bound."""
+attention runs on, from which the cost law's work is counted; the
+traced allocation peak the memory tests bound; and a fixture that turns
+`tensor.recompute` into a plain call."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 
 def fd_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -230,3 +232,12 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def no_recompute(monkeypatch):
+    """Swap `tensor.recompute` for the plain call fn(x), so every block the
+    model wraps in it keeps its graph from forward to backward."""
+    from megabyte import tensor as T
+
+    monkeypatch.setattr(T, "recompute", lambda fn, x: fn(x))

@@ -83,6 +83,15 @@ def test_oracle_model_scores_zero():
     assert report.bpb == 0.0
 
 
+@pytest.mark.parametrize("mode", sorted(MODE_COST))
+def test_eval_rejects_byte_outside_vocab_on_no_global(mode):
+    # Byte 99 sits at the last position of a patch, which no half of a
+    # no_global model embeds; a document's bytes cannot be negative.
+    m = build(small_config(no_global=True, vocab_size=11))
+    with pytest.raises(ValueError, match="byte id out of range"):
+        evaluate_bpb(m, [Document("d", bytes([0, 1, 2, 99, 4, 5, 6, 7]))], mode)
+
+
 def target_logprobs(model, ids):
     return model.forward(ids).data[np.arange(len(ids)), ids]
 

@@ -510,6 +510,20 @@ def test_forward_shape_law():
         assert m.forward(ids).shape == (cfg.context_len, cfg.vocab_size)
 
 
+@pytest.mark.parametrize("bad", [99, -1])
+@pytest.mark.parametrize("over", ALL_VARIANTS)
+def test_forward_rejects_byte_outside_vocab(over, bad):
+    # The bad id sits at a patch's last position, which no half of a
+    # no_global model embeds; forward and the training loss still reject it.
+    m = build(toy_config(**over))
+    ids = np.array([[0, 1, 2, bad, 4, 5, 6, 7]])
+    with pytest.raises(ValueError, match="byte id out of range"):
+        m.forward(ids)
+    with pytest.raises(ValueError, match="byte id out of range"):
+        sequence_loss_bits(m.forward(ids, rng=np.random.default_rng(0)), ids,
+                           np.ones_like(ids, dtype=bool))
+
+
 @pytest.mark.parametrize("t", [6, 12], ids=["not-a-patch-multiple", "past-context"])
 def test_forward_rejects_bad_length(t):
     m = build(toy_config())
@@ -649,31 +663,40 @@ def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
     # Between forward and backward the graph holds the arrays backwards
     # read, not every op output: the logits (log_softmax_last keeps its
     # output) and the residual sums (layer_norm keeps xhat, add only
-    # shapes) are freed in forward. Holding every output, as a graph of
-    # tensors does, measures 1.14-1.24 of what the ops made here.
+    # shapes) are freed in forward, except the sum that enters each local
+    # layer's feed-forward, which its recompute keeps for the replay; that
+    # feed-forward's ReLU output is freed too. Holding every output, as a
+    # graph of tensors does, measures 1.14-1.24 of what the ops made here.
     cfg = toy_config(dropout=0.1, global_dim=16, local_dim=16, vocab_size=256, **over)
     m = build(cfg, seed=27)
     ids = np.random.default_rng(28).integers(0, cfg.vocab_size, size=(8, 8))
-    made, sums, logits, inside = [0], [], [], [0]
-    result, add = T._result, T.Tensor.__add__
+    made, sums, relus, logits, scopes = [0], [], [], [], []
+    result, add, relu = T._result, T.Tensor.__add__, T.Tensor.relu
     layer, head = MegabyteDecoder._layer, MegabyteDecoder.output_head
 
-    def counted(data, *args):
-        made[0] += data.nbytes if data.flags.owndata else 0
-        return result(data, *args)
+    def counted(data, inputs, op, backprop):
+        # recompute hands on the output that fn's last op made and counted
+        made[0] += data.nbytes if data.flags.owndata and op != "recompute" else 0
+        return result(data, inputs, op, backprop)
 
     def traced_add(self, other):
         out = add(self, other)
-        if inside[0]:
-            sums.append(weakref.ref(out.data))
+        if scopes:
+            sums.append((scopes[-1], weakref.ref(out.data)))
         return out
 
-    def traced_layer(*args, **kwargs):
-        inside[0] += 1
+    def traced_relu(self):
+        out = relu(self)
+        if scopes and scopes[-1] == "l":
+            relus.append(weakref.ref(out.data))
+        return out
+
+    def traced_layer(self, scope, *args, **kwargs):
+        scopes.append(scope)
         try:
-            return layer(*args, **kwargs)
+            return layer(self, scope, *args, **kwargs)
         finally:
-            inside[0] -= 1
+            scopes.pop()
 
     def traced_head(*args):
         out = head(*args)
@@ -682,6 +705,7 @@ def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
 
     monkeypatch.setattr(T, "_result", counted)
     monkeypatch.setattr(T.Tensor, "__add__", traced_add)
+    monkeypatch.setattr(T.Tensor, "relu", traced_relu)
     monkeypatch.setattr(MegabyteDecoder, "_layer", traced_layer)
     monkeypatch.setattr(MegabyteDecoder, "output_head", traced_head)
     tracemalloc.start()
@@ -693,9 +717,41 @@ def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
     finally:
         tracemalloc.stop()
     assert held <= 0.75 * made[0], held / made[0]
+    # Each layer makes two sums, the first of which feeds its feed-forward.
     assert len(sums) == 2 * (m._depth("g") + m._depth("l")) and len(logits) == 1
-    assert all(r() is None for r in sums + logits)
+    assert [r() is not None for _, r in sums] == [
+        scope == "l" and j % 2 == 0 for j, (scope, _) in enumerate(sums)]
+    assert len(relus) == m._depth("l") and all(r() is None for r in relus + logits)
     loss.backward()
+
+
+def _step_loss_and_grads(m: MegabyteDecoder, ids: np.ndarray):
+    m.params.zero_grad()
+    loss = sequence_loss_bits(m.forward(ids, rng=np.random.default_rng(29)), ids,
+                              np.ones_like(ids, dtype=bool))
+    loss.backward()
+    return loss.data, {name: t.grad for name, t in m.params.items()}
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("over", ALL_VARIANTS)
+def test_recompute_is_exact(over, dropout, monkeypatch, request):
+    # A training step that rebuilds each local feed-forward in backward
+    # gives the loss and every gradient bit for bit of one that keeps it.
+    cfg = toy_config(dropout=dropout, global_layers=2, local_layers=2, global_dim=8,
+                     local_dim=8, **over)
+    m = build(cfg, seed=30)
+    ids = np.random.default_rng(31).integers(0, cfg.vocab_size, size=(2, 8))
+    calls, recompute = [], T.recompute
+    monkeypatch.setattr(T, "recompute", lambda fn, x: calls.append(x) or recompute(fn, x))
+    loss, grads = _step_loss_and_grads(m, ids)
+    assert len(calls) == m._depth("l")
+    request.getfixturevalue("no_recompute")
+    kept_loss, kept_grads = _step_loss_and_grads(m, ids)
+    assert np.array_equal(loss, kept_loss)
+    assert grads.keys() == kept_grads.keys()
+    for name, g in grads.items():
+        assert g is not None and np.array_equal(g, kept_grads[name]), name
 
 
 def _e2e_loss(m: MegabyteDecoder, ids: np.ndarray):

@@ -836,6 +836,68 @@ def test_dropout_inverted_scaling():
     assert abs(len(kept) / 1000 - 0.75) < 0.05
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+def test_dropout_matches_the_float_mask_product_bit_for_bit(rate):
+    # The op's forward and backward give the bits of x * Tensor(mask) with
+    # the float mask (keep >= rate) / (1 - rate), -0.0 included: a dropped
+    # negative x, or a dropped negative gradient, reads -0.0 both ways.
+    # Its backward keeps the draws as one bool array and no float mask.
+    rng = np.random.default_rng(40)
+    xd, g = rng.normal(size=(3, 5, 7)), rng.normal(size=(3, 5, 7))
+    mask = np.divide(np.random.default_rng(41).random(xd.shape) >= rate, 1.0 - rate)
+    x, x_ref = Tensor(xd, requires_grad=True), Tensor(xd, requires_grad=True)
+    out, ref = T.dropout(x, rate, np.random.default_rng(41)), x_ref * Tensor(mask)
+    held = [a for a in captured(out._node._bp) if isinstance(a, np.ndarray)]
+    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(bool), xd.shape)]
+    (out * Tensor(g)).sum().backward()
+    (ref * Tensor(g)).sum().backward()
+    for got, want in ((out.data, ref.data), (x.grad, x_ref.grad)):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(got[got == 0]).any()
+
+
+def _feed_forward_fn(rng):
+    gain, bias, w1, w2 = (Tensor(rng.normal(size=shape), requires_grad=True)
+                          for shape in (4, 4, (4, 8), (8, 4)))
+    fn = lambda x: T.matmul(T.matmul(T.layer_norm(x, gain, bias), w1).relu(), w2)
+    return fn, (gain, bias, w1, w2)
+
+
+def test_recompute_matches_the_plain_call_bit_for_bit():
+    # The output and every gradient, x's and fn's leaves', equal those of
+    # fn(x) itself, and the record keeps x's values and no array that fn
+    # built.
+    fn, leaves = _feed_forward_fn(np.random.default_rng(42))
+    x_data, g = np.random.default_rng(43).normal(size=(2, 2, 3, 4))
+    grads = []
+    for wrap in (T.recompute, lambda f, x: f(x)):
+        for t in leaves:
+            t.grad = None
+        x = Tensor(x_data, requires_grad=True)
+        h = x * 2.0
+        out = wrap(fn, h)
+        if wrap is T.recompute:
+            held = [a for a in captured(out._node._bp) if isinstance(a, np.ndarray)]
+            assert len(held) == 1 and held[0] is h.data
+        (out * Tensor(g)).sum().backward()
+        grads.append([out.data] + [t.grad for t in (x,) + leaves])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+
+
+def test_recompute_rejects_an_untracked_input_under_grad():
+    # The record sees no input but x, so with x untracked it would not
+    # reach fn's parameters; under no_grad it is fn(x) and records nothing.
+    fn, _ = _feed_forward_fn(np.random.default_rng(45))
+    x = Tensor(np.ones((2, 4)))
+    with pytest.raises(ValueError, match="tracked input"):
+        T.recompute(fn, x)
+    with T.no_grad():
+        out = T.recompute(fn, x)
+    assert out._node is None
+    assert np.array_equal(out.data, fn(x).data)
+
+
 def test_no_grad_blocks_graph(monkeypatch):
     made = []
     monkeypatch.setattr(T, "_Node", lambda *args: made.append(args))
