@@ -204,8 +204,8 @@ class _Decoder:
                     cache.restart()
             slices = None if self.slices is None else self.slices[:, :, r0:r1]
             x = model.combine_for_local(slices, self.ids[:, k * p:(k + 1) * p], r0, r1)
-            h = model._stack("l", x, caches=self.local_kv)
-        return T.log_softmax_last(model.output_head(h[:, :, -1:])).data.reshape(-1)
+            h = model._stack("l", [x], caches=self.local_kv)
+        return model.output_head(h[:, :, -1:]).data.reshape(-1)
 
 
 @T.checked_once

@@ -329,9 +329,11 @@ class MegabyteDecoder:
                cache: KVCache | None = None, k0: int = 0) -> Tensor:
         """Pre-norm layer i of the global (scope "g", rows are patches) or
         the local stack (scope "l", batched over (B, K) patches of rows), on
-        rows k0.. of x. Each name ends at its last reader, so a no-grad layer
-        peaks at the residual sum and both sides of the feed-forward's ReLU.
-        The local feed-forward, two thin GEMMs per byte, rebuilds in backward."""
+        rows k0.. of x. Each name ends at its last reader, x included when
+        the caller holds no other name for it (see `_stack`), so a no-grad
+        layer peaks in its feed-forward at the residual sum, the normed rows
+        and the hidden rows, whose ReLU runs in their own buffer. The local
+        feed-forward, two thin GEMMs per byte, rebuilds in backward."""
         name, rate = f"{scope}{i}", self.config.dropout
         x = (x[:, k0:] if k0 > 0 else x) + T.dropout(
             self._attention(scope, name, x, cache, k0), rate, rng)
@@ -367,7 +369,7 @@ class MegabyteDecoder:
 
     def _feed_forward(self, name: str, x: Tensor) -> Tensor:
         p = self.params
-        h = T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"], p[f"{name}.ff.b1"]).relu()
+        h = T.matmul(self._ln(f"{name}.ln2", x), p[f"{name}.ff.w1"], p[f"{name}.ff.b1"], relu=True)
         return T.matmul(h, p[f"{name}.ff.w2"], p[f"{name}.ff.b2"])
 
     def _depth(self, scope: str) -> int:
@@ -378,17 +380,24 @@ class MegabyteDecoder:
             return cfg.global_layers if cfg.global_active else 0
         return cfg.local_layers if cfg.local_active else 0
 
-    def _stack(self, scope: str, x: Tensor, rng=None,
+    def _stack(self, scope: str, rows: list[Tensor], rng=None,
                caches: list[KVCache] | None = None, k0: int = 0) -> Tensor:
         """Every layer of one half (one cache per layer, if given), then its
-        final norm, on rows k0.. of the output; x[:, k0:] when the half is
-        off. Every layer but the last runs on every row, since later rows
-        attend to earlier ones; the last computes queries only for rows k0..
-        """
+        final norm, on rows k0.. of the output; the input's rows k0.. when
+        the half is off. Every layer but the last runs on every row, since
+        later rows attend to earlier ones; the last computes queries only
+        for rows k0..
+
+        The input comes as the one item of the list `rows`, and each layer
+        takes its input out of it and puts back its output. So no name
+        outside the layer holds its input, which ends once the layer's
+        attention sub-block has read it. `forward`, `global_forward` and
+        `local_forward` keep no name for the stack's input either."""
         n = self._depth(scope)
         for i in range(n):
-            x = self._layer(scope, i, x, rng, None if caches is None else caches[i],
-                            k0 if i == n - 1 else 0)
+            rows.append(self._layer(scope, i, rows.pop(), rng,
+                                    None if caches is None else caches[i], k0 if i == n - 1 else 0))
+        x = rows.pop()
         if n == 0:
             return x[:, k0:] if k0 > 0 else x
         return self._ln(f"{scope}.lnf", x)
@@ -400,22 +409,29 @@ class MegabyteDecoder:
         runs on every patch, but the last computes queries only for the
         patches kept; with caches, the rows are new patches after the
         cached ones, and all of their keys and values are cached."""
-        return self._stack("g", h_global_in, rng, caches, k0)
+        rows = [h_global_in]
+        del h_global_in   # the first layer's attention sub-block ends it
+        return self._stack("g", rows, rng, caches, k0)
 
     def local_forward(self, h_local_in: Tensor, rng=None, k0: int = 0,
                       stop: int | None = None) -> Tensor:
-        """Local stack over every patch (batched; no layers when the local
-        half is off), then the tied output head on patches k0.. and
-        within-patch positions [0, stop) of its output (default: all)."""
-        x = self._stack("l", h_local_in, rng)
+        """Log-probabilities: the local stack over every patch (batched; no
+        layers when the local half is off), then the tied output head and
+        its log-softmax on patches k0.. and within-patch positions [0, stop)
+        of its output (default: all), as (B, rows, V)."""
+        rows = [h_local_in]
+        del h_local_in   # the first layer's attention sub-block ends it
+        x = self._stack("l", rows, rng)
         if k0 > 0 or stop is not None:
             x = x[:, k0:, :stop]
         b, k, p_sz, dl = x.shape
         return self.output_head(x.reshape(b, k * p_sz, dl))
 
     def output_head(self, h: Tensor) -> Tensor:
-        # Weight tying: logits through the local embedding table.
-        return T.matmul(h, self.params["local_embed"].transpose((1, 0)))
+        """Log-probabilities of rows h: weight tying, so the logits come
+        from the local embedding table, in the one buffer their log-softmax
+        overwrites."""
+        return T.log_softmax_last(h, self.params["local_embed"])
 
     # -- combining the two halves -----------------------------------------
 
@@ -469,6 +485,7 @@ class MegabyteDecoder:
         slots are the last r rows of the patch before at every layer, so
         there every patch is kept through the global half and the local
         stack, and the head and log-softmax run only on the rows asked for.
+        No name here holds the local stack's input (see `_stack`).
         """
         cfg = self.config
         ids = np.asarray(ids)
@@ -486,13 +503,16 @@ class MegabyteDecoder:
         # One name for every stage, so that without a graph each stage's
         # output is freed once the next is built; in `_layer`, each name ends
         # at its last reader.
-        cut = (0, None)
+        cut_k0, cut_stop = 0, None
         if cfg.cross_patch_active:  # slots read the patch before: cut after the stack
-            cut, k0, stop = (k0, stop), 0, None
+            cut_k0, cut_stop, k0, stop = k0, stop, 0, None
         h = None
         if cfg.global_active:
             h = self.project_global(self.global_forward(self.embed_global(ids), rng, k0=k0))
             h = h if stop is None else h[:, :, :stop]
-        h = self.combine_for_local(h, ids[:, k0 * p:], 0, stop)
-        out = T.log_softmax_last(self.local_forward(h, rng, *cut))
+        # The local input is handed over as a bare value (no name, no *args
+        # tuple), so the local stack's first layer ends it.
+        rows = [self.combine_for_local(h, ids[:, k0 * p:], 0, stop)]
+        del h
+        out = self.local_forward(rows.pop(), rng, cut_k0, cut_stop)
         return out[0] if single else out

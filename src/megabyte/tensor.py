@@ -4,13 +4,15 @@ Covers exactly the operations the decoder needs. Tensor methods:
 broadcast + and *, relu, reshape, transpose, slicing (which also takes
 integer-array picks, as the loss reads each target's log-probability)
 and sum (of every entry). Functions: matmul (rows by a 2-D matrix, plus
-an optional (n,) bias added into the product as one node), concat
-(broadcasting its inputs off the join axis), embedding (row lookup),
-log_softmax_last, layer_norm, causal_attention (fused, on
+an optional (n,) bias and ReLU run in the product's own buffer, as one
+node), concat (broadcasting its inputs off the join axis), embedding
+(row lookup), log_softmax_last (optionally of the logits against a tied
+table, which it builds itself), layer_norm, causal_attention (fused, on
 (..., t, heads * d) rows whose heads it splits as numpy views, with
 optional rotary positions), dropout and recompute. Every product with a
-weight matrix, the conv encoder's filter taps included, runs in matmul.
-Every array is float64, the precision the gradient checks are stated for.
+weight matrix, the conv encoder's filter taps and the tied head
+included, runs in matmul. Every array is float64, the precision the
+gradient checks are stated for.
 
 Op contract: an op computes its output and its backward, a closure
 `_bp(g, *records)` that adds the output's gradient g into its inputs'
@@ -22,19 +24,27 @@ own record. A `_bp` captures only the arrays it reads, never a Tensor or
 a record, so the graph holds no forward value of its own: an output that
 the caller drops is freed in forward unless a backward captured it, and a
 value only backward needs is computed in `_bp`. The array g that backward
-hands to a `_bp` belongs to that call: relu, mul (for its left operand),
-log_softmax_last and layer_norm overwrite g in place and hand it on.
-Forward, too, holds only what its next step reads: log_softmax_last runs
-its exp in its own output, and computes x - max there twice. dropout's
+hands to a `_bp` belongs to that call: relu, matmul's ReLU, mul (for its
+left operand), log_softmax_last and layer_norm overwrite g in place and
+hand it on.
+Forward, too, holds only what its next step reads. matmul's relu=True
+epilogue runs the ReLU in the product's buffer, so the pre-activation has
+no array of its own, and its backward masks g by the output it keeps.
+log_softmax_last sums each row's exp block by block in one scratch block
+of at most _EXP_BLOCK floats, so it holds its output and that block;
+given the tied table, it builds the logits by matmul and runs the whole
+log-softmax in their buffer, which no other op sees, so the head holds one
+(..., V) array, not a logits and a log-prob array. dropout's
 backward keeps a bool mask. recompute's backward holds only its input's
 values and the function it replays, whose graph lives inside that backward.
 
 A tensor, and any array a `_bp` captured, is immutable except for a
-leaf's gradient, and one graph belongs to a single logical thread. The
-exception is the decode key/value buffers of `model.KVCache`: `append`
-and `restart`'s slot copy write them in place, only under no_grad, and
-never into a view still in use (each is read by one attention call, then
-dropped). Attention's softmax runs in place in its own score buffer.
+leaf's gradient and the head's logits above, and one graph belongs to a
+single logical thread. The other exception is the decode key/value
+buffers of `model.KVCache`: `append` and `restart`'s slot copy write them
+in place, only under no_grad, and never into a view still in use (each is
+read by one attention call, then dropped). Attention's softmax runs in
+place in its own score buffer.
 
 Finiteness: a bare op raises FloatingPointError naming itself on inf or
 nan output. A training step, an eval window and a generate call skip that
@@ -51,6 +61,7 @@ import math
 import numpy as np
 
 LN_EPS = 1e-5      # added to the variance in layer_norm
+_EXP_BLOCK = 1 << 15   # floats in log_softmax_last's exp scratch block (one row at least)
 _GRAD_ENABLED = True
 _CHECK_OPS = True   # whether each op scans its output (off inside checked_once)
 
@@ -182,6 +193,9 @@ class Tensor:
         return _result(np.multiply(self.data, other.data), (self, other), "mul", _bp)
 
     def relu(self) -> "Tensor":
+        """Only the conv encoder's ReLU runs here: it follows a sum of w
+        tap products, not one GEMM whose buffer it could share. The
+        feed-forward's runs in matmul(..., relu=True)."""
         data = np.maximum(self.data, 0.0)
         def _bp(g, s):
             g *= data > 0   # the output's mask is the input's
@@ -266,10 +280,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, relu: bool = False) -> Tensor:
     """Rows of a (..., k) times one 2-D matrix b (k, n), plus bias (n,) if
-    given, added into the product in place; b's and bias's gradients are
-    one flattened GEMM and one column sum."""
+    given, then with relu=True the ReLU, each in the product's buffer; b's
+    and bias's gradients are one flattened GEMM and one column sum."""
     a, b = _as_tensor(a), _as_tensor(b)
     if b.ndim != 2 or a.shape[-1:] != b.shape[:1]:
         raise ValueError(f"matmul needs (..., k) @ (k, n), got {a.shape} @ {b.shape}")
@@ -280,8 +294,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.shape != (n,):
             raise ValueError(f"matmul bias must be ({n},) for {a.shape} @ {b.shape}, got {bias.shape}")
         data += bias.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
     a_data, b_data = _record(b) and a.data, _record(a) and b.data   # each if the other is tracked
+    kept = data if relu else None   # the ReLU's output, whose mask is its input's
     def _bp(g, ra, rb, rbias=None):
+        if kept is not None:
+            g *= kept > 0
         if ra is not None:
             ra._accum(g @ b_data.T)
         g2 = g.reshape(-1, n)
@@ -332,18 +351,37 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _result(table.data[ids], (table,), "embedding", _bp)
 
 
-def log_softmax_last(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
+def log_softmax_last(x: Tensor, table: Tensor | None = None) -> Tensor:
+    """Log-softmax over the last axis of x or, given a (V, d) table, of the
+    logits matmul(x, table.T), which it builds and then overwrites: nothing
+    else sees them, so the output is their buffer."""
+    if table is None:
+        x = _as_tensor(x)
+        data = np.empty(x.shape)
+    else:
+        x = matmul(x, table.transpose((1, 0)))
+        data = x.data
     top = x.data.max(axis=-1, keepdims=True)
-    data = np.subtract(x.data, top)   # the exp's scratch, then x - top again
-    sums = np.exp(data, out=data).sum(axis=-1, keepdims=True)
     np.subtract(x.data, top, out=data)
-    data -= np.log(sums)
+    data -= np.log(_exp_row_sums(data))
     def _bp(g, s):
         e = np.exp(data)
         g -= np.multiply(e, g.sum(axis=-1, keepdims=True), out=e)
         s._accum(g)
     return _result(data, (x,), "log_softmax_last", _bp)
+
+
+def _exp_row_sums(x: np.ndarray) -> np.ndarray:
+    """sum(exp(x)) over the last axis, keepdims, one scratch block of rows
+    at a time; each row is reduced whole, as in one call on all of x."""
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _EXP_BLOCK // rows.shape[1])
+    scratch = np.empty((min(step, len(rows)), rows.shape[1]))
+    sums = np.empty(len(rows))
+    for r in range(0, len(rows), step):
+        block = rows[r:r + step]
+        np.add.reduce(np.exp(block, out=scratch[:len(block)]), axis=-1, out=sums[r:r + step])
+    return sums.reshape(x.shape[:-1] + (1,))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -400,8 +438,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
                      rotary: bool = False) -> Tensor:
     """Scaled dot-product attention under a causal mask, per head.
 
-    q is (..., t_q, dim); k and v are (..., t_k, dim) and share leading dims
-    with q. Each row holds `heads` heads of dim/heads side by side, as does
+    q is (..., t_q, dim); k and v are (..., t_k, dim) with t_k >= t_q, and
+    share leading dims with q. Each row holds `heads` heads of dim/heads side by side, as does
     the output. The queries are the last t_q key positions: row i sits at
     position t_k - t_q + i and attends keys at positions <= its own. With
     rotary=True, q and k are rotated by those positions, so a score
@@ -414,6 +452,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.shape[:-2] != k.shape[:-2] or k.shape != v.shape or q.shape[-1] != k.shape[-1]:
         raise ValueError(f"attention shape mismatch: q{q.shape} k{k.shape} v{v.shape}")
+    if q.shape[-2] > k.shape[-2]:
+        raise ValueError(f"attention needs no more queries than keys: q{q.shape} k{k.shape}")
 
     t_q, t_k, dim = q.shape[-2], k.shape[-2], q.shape[-1]
     q_start = t_k - t_q
@@ -444,8 +484,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     scale = 1.0 / math.sqrt(d)
     weights = np.matmul(qr, np.swapaxes(kr, -1, -2))
     weights *= scale
-    allowed = (q_start + np.arange(t_q))[:, None] >= np.arange(t_k)[None, :]
-    np.copyto(weights, -np.inf, where=~allowed)
+    future = (q_start + np.arange(t_q))[:, None] < np.arange(t_k)[None, :]
+    np.copyto(weights, -np.inf, where=future)
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)

@@ -2,7 +2,8 @@
 implementations kept deliberately separate from the library code paths;
 the helpers the finiteness-check tests share; a recorder of the shapes
 attention runs on, from which the cost law's work is counted; the
-traced allocation peak the memory tests bound; and a fixture that turns
+traced allocation peak the memory tests bound and a fixture that turns
+the per-op finiteness scan off for them; and a fixture that turns
 `tensor.recompute` into a plain call."""
 
 from __future__ import annotations
@@ -96,20 +97,29 @@ def prepare_generic_point(model, ids, make_params, h, max_tries=50):
     ReLU kink disagrees with the analytic gradient; when every sign mask
     `z > 0` (the mask `relu` uses in backward) is the same at theta and at
     theta +- h for each entry, both evaluations see the same linear piece.
+    Both ReLUs are watched: `Tensor.relu` (the conv encoder's) through its
+    input, and `matmul(..., relu=True)` (the feed-forward's) through its
+    output, since relu(z) > 0 exactly when z > 0.
 
     make_params(try_index) must install fresh parameters on the model.
-    Returns the index of the accepted attempt. Tensor.relu and every
-    parameter value are restored before returning.
+    Returns the index of the accepted attempt. Tensor.relu, tensor.matmul
+    and every parameter value are restored before returning.
     """
-    from megabyte.tensor import Tensor, no_grad
+    from megabyte import tensor as T
 
     ids = np.asarray(ids)
-    orig_relu = Tensor.relu
+    orig_relu, orig_matmul = T.Tensor.relu, T.matmul
     masks: list[np.ndarray] = []
 
     def spying(self):
         masks.append(self.data > 0)
         return orig_relu(self)
+
+    def spying_matmul(a, b, bias=None, relu=False):
+        out = orig_matmul(a, b, bias, relu)
+        if relu:
+            masks.append(out.data > 0)
+        return out
 
     def forward_masks():
         masks.clear()
@@ -117,9 +127,9 @@ def prepare_generic_point(model, ids, make_params, h, max_tries=50):
         return list(masks)
 
     flip = None
-    Tensor.relu = spying
+    T.Tensor.relu, T.matmul = spying, spying_matmul
     try:
-        with no_grad():
+        with T.no_grad():
             for attempt in range(max_tries):
                 make_params(attempt)
                 base = forward_masks()
@@ -127,7 +137,7 @@ def prepare_generic_point(model, ids, make_params, h, max_tries=50):
                 if flip is None:
                     return attempt
     finally:
-        Tensor.relu = orig_relu
+        T.Tensor.relu, T.matmul = orig_relu, orig_matmul
     name, index, step = flip
     raise AssertionError(
         f"could not find a parameter point free of ReLU sign flips under +-{h:g} "
@@ -241,3 +251,12 @@ def no_recompute(monkeypatch):
     from megabyte import tensor as T
 
     monkeypatch.setattr(T, "recompute", lambda fn, x: fn(x))
+
+
+@pytest.fixture
+def scan_off(monkeypatch):
+    """Turn the per-op finiteness scan off, as `checked_once` does where
+    training, eval and generation run, so a traced peak counts no scan mask."""
+    from megabyte import tensor as T
+
+    monkeypatch.setattr(T, "_CHECK_OPS", False)

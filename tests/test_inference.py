@@ -397,9 +397,9 @@ def test_patch_aligned_prompt_runs_its_first_byte_in_the_same_calls(monkeypatch,
     calls = []
     real = MegabyteDecoder._stack
 
-    def recorded(self, scope, x, *args, **kwargs):
-        calls.append((scope, x.shape[-2]))
-        return real(self, scope, x, *args, **kwargs)
+    def recorded(self, scope, rows, *args, **kwargs):
+        calls.append((scope, rows[0].shape[-2]))
+        return real(self, scope, rows, *args, **kwargs)
 
     monkeypatch.setattr(MegabyteDecoder, "_stack", recorded)
     cfg = small_config(context_len=32)

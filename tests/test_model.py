@@ -255,9 +255,9 @@ def test_every_weight_product_runs_in_matmul(monkeypatch):
     operands = []
     real = T.matmul
 
-    def recorded(a, b, bias=None):
+    def recorded(a, b, bias=None, relu=False):
         operands.append(b.data)
-        return real(a, b, bias)
+        return real(a, b, bias, relu)
 
     monkeypatch.setattr(T, "matmul", recorded)
     m.forward(np.random.default_rng(8).integers(0, cfg.vocab_size, size=(2, 16)))
@@ -419,7 +419,9 @@ def test_local_forward_matches_reference_stack():
                 t.data = t.data * 20.0
         got = m.local_forward(T.Tensor(h[None])).data[0]
         rows = ref_transformer_stack(h, m.params, "l", 2, heads=2, window=r).reshape(12, 4)
-        ref = rows @ m.params["local_embed"].data.T
+        logits = rows @ m.params["local_embed"].data.T
+        ref = logits - logits.max(axis=-1, keepdims=True)
+        ref -= np.log(np.exp(ref).sum(axis=-1, keepdims=True))
         assert np.allclose(got, ref, rtol=0, atol=1e-10), r
 
 
@@ -443,6 +445,25 @@ def test_no_grad_local_layer_peaks_at_its_feed_forward(window, monkeypatch):
         peak = traced_peak(lambda: m._layer("l", 0, x))
     unit = x.data.nbytes
     assert peak <= (1 + 2 * FF_MULT + 0.25) * unit, peak / unit
+
+
+@pytest.mark.parametrize("window,bound", [(0, 2 + FF_MULT + 0.25), (2, 7.25)])
+def test_no_grad_local_layer_peaks_below_both_sides_of_its_relu(window, bound, scan_off):
+    # Units as above, whose bound counts the hidden rows twice. The
+    # feed-forward's ReLU runs in its GEMM's buffer, so the feed-forward
+    # peaks at the residual sum, the normed rows and the one hidden array
+    # (2 + FF_MULT units, 5.1 measured for it alone). Cross-patch attention
+    # then sets the layer's peak: q, k and v with their slots and the
+    # rotated copies of q and k measure 7.1 units.
+    b, k, p, d = 4, 32, 8, 64
+    cfg = toy_config(context_len=k * p, patch_size=p, local_dim=d, local_heads=1,
+                     cross_patch_window=window)
+    m = build(cfg, seed=30)
+    x = T.Tensor(np.random.default_rng(31).normal(size=(b, k, p, d)))
+    with T.no_grad():
+        peak = traced_peak(lambda: m._layer("l", 0, x))
+    unit = x.data.nbytes
+    assert peak <= bound * unit, peak / unit
 
 
 def test_cross_patch_extras_change_later_patch_only():
@@ -661,21 +682,24 @@ def test_training_backwards_capture_no_tensor_or_record(over):
 @pytest.mark.parametrize("over", ALL_VARIANTS)
 def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
     # Between forward and backward the graph holds the arrays backwards
-    # read, not every op output: the logits (log_softmax_last keeps its
-    # output) and the residual sums (layer_norm keeps xhat, add only
-    # shapes) are freed in forward, except the sum that enters each local
-    # layer's feed-forward, which its recompute keeps for the replay; that
-    # feed-forward's ReLU output is freed too. Holding every output, as a
-    # graph of tensors does, measures 1.14-1.24 of what the ops made here.
+    # read, not every op output: the residual sums (layer_norm keeps xhat,
+    # add only shapes) are freed in forward, except the sum that enters
+    # each local layer's feed-forward, which its recompute keeps for the
+    # replay; that feed-forward's ReLU output is freed too. The head's
+    # logits and log-probs are one array, which log_softmax_last keeps.
+    # Holding every output, as a graph of tensors does, measures 1.14-1.24
+    # of what the ops made here.
     cfg = toy_config(dropout=0.1, global_dim=16, local_dim=16, vocab_size=256, **over)
     m = build(cfg, seed=27)
     ids = np.random.default_rng(28).integers(0, cfg.vocab_size, size=(8, 8))
     made, sums, relus, logits, scopes = [0], [], [], [], []
-    result, add, relu = T._result, T.Tensor.__add__, T.Tensor.relu
+    result, add, matmul = T._result, T.Tensor.__add__, T.matmul
     layer, head = MegabyteDecoder._layer, MegabyteDecoder.output_head
 
     def counted(data, inputs, op, backprop):
-        # recompute hands on the output that fn's last op made and counted
+        # recompute hands on the output that fn's last op made and counted;
+        # the head's one array counts twice, as the output of matmul (the
+        # logits) and of log_softmax_last (the log-probs)
         made[0] += data.nbytes if data.flags.owndata and op != "recompute" else 0
         return result(data, inputs, op, backprop)
 
@@ -685,9 +709,9 @@ def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
             sums.append((scopes[-1], weakref.ref(out.data)))
         return out
 
-    def traced_relu(self):
-        out = relu(self)
-        if scopes and scopes[-1] == "l":
+    def traced_matmul(a, b, bias=None, relu=False):
+        out = matmul(a, b, bias, relu)
+        if relu and scopes and scopes[-1] == "l":
             relus.append(weakref.ref(out.data))
         return out
 
@@ -705,7 +729,7 @@ def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
 
     monkeypatch.setattr(T, "_result", counted)
     monkeypatch.setattr(T.Tensor, "__add__", traced_add)
-    monkeypatch.setattr(T.Tensor, "relu", traced_relu)
+    monkeypatch.setattr(T, "matmul", traced_matmul)
     monkeypatch.setattr(MegabyteDecoder, "_layer", traced_layer)
     monkeypatch.setattr(MegabyteDecoder, "output_head", traced_head)
     tracemalloc.start()
@@ -721,8 +745,37 @@ def test_training_forward_holds_only_what_backward_reads(over, monkeypatch):
     assert len(sums) == 2 * (m._depth("g") + m._depth("l")) and len(logits) == 1
     assert [r() is not None for _, r in sums] == [
         scope == "l" and j % 2 == 0 for j, (scope, _) in enumerate(sums)]
-    assert len(relus) == m._depth("l") and all(r() is None for r in relus + logits)
+    assert len(relus) == m._depth("l") and all(r() is None for r in relus)
+    assert logits[0]() is not None
     loss.backward()
+
+
+@pytest.mark.parametrize("over", ALL_VARIANTS)
+def test_no_grad_layer_input_ends_before_its_feed_forward(over, monkeypatch):
+    # No name outside a layer holds its input, so under no_grad each
+    # layer's input, the stacks' own inputs included, is freed once its
+    # attention sub-block has read it, before its feed-forward runs.
+    cfg = toy_config(global_layers=2, local_layers=2, **over)
+    m = build(cfg, seed=32)
+    ids = np.random.default_rng(33).integers(0, cfg.vocab_size, size=(2, 8))
+    inputs, freed = {}, []
+    attention, feed_forward = MegabyteDecoder._attention, MegabyteDecoder._feed_forward
+
+    def traced_attention(self, scope, name, x, *args):
+        owner = x.data if x.data.base is None else x.data.base
+        inputs[name] = weakref.ref(owner)
+        return attention(self, scope, name, x, *args)
+
+    def traced_feed_forward(self, name, x):
+        freed.append((name, inputs[name]() is None))
+        return feed_forward(self, name, x)
+
+    monkeypatch.setattr(MegabyteDecoder, "_attention", traced_attention)
+    monkeypatch.setattr(MegabyteDecoder, "_feed_forward", traced_feed_forward)
+    with T.no_grad():
+        m.forward(ids)
+    assert len(freed) == m._depth("g") + m._depth("l") > 0
+    assert all(dead for _, dead in freed), freed
 
 
 def _step_loss_and_grads(m: MegabyteDecoder, ids: np.ndarray):
@@ -785,15 +838,23 @@ def test_prepare_generic_point_rejects_near_kink_draw():
     cfg = toy_config(context_len=4, patch_size=2, global_dim=2, local_dim=2, vocab_size=5)
     m = build(cfg, seed=31)
     ids = np.random.default_rng(32).integers(0, 5, size=4)
-    orig_relu = T.Tensor.relu
+    orig_relu, matmul = T.Tensor.relu, T.matmul
 
     def first_relu_input():
+        # The feed-forward's ReLU runs in matmul: its input is the product
+        # without it.
         seen = []
-        T.Tensor.relu = lambda self: seen.append(self.data.copy()) or orig_relu(self)
+
+        def spying(a, b, bias=None, relu=False):
+            if relu:
+                seen.append(matmul(a, b, bias).data)
+            return matmul(a, b, bias, relu)
+
+        T.matmul = spying
         try:
             m.forward(ids)
         finally:
-            T.Tensor.relu = orig_relu
+            T.matmul = matmul
         return seen[0].reshape(-1)
 
     def make_params(attempt):
@@ -811,7 +872,7 @@ def test_prepare_generic_point_rejects_near_kink_draw():
     with pytest.raises(AssertionError, match=r"after 1 draws; .* step of \S+\[\d+\] flipped"):
         prepare_generic_point(m, ids, make_params, h, max_tries=1)
     assert prepare_generic_point(m, ids, make_params, h) == 1
-    assert T.Tensor.relu is orig_relu
+    assert T.Tensor.relu is orig_relu and T.matmul is matmul
     swept = {k: t.data.copy() for k, t in m.params.items()}
     make_params(1)
     for k, t in m.params.items():

@@ -125,6 +125,33 @@ def test_matmul_rejects_bias_of_wrong_shape(shape):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(shape)))
 
 
+@pytest.mark.parametrize("shape", [(6, 5), (2, 3, 4, 5)])
+def test_matmul_relu_matches_the_unfused_product_bit_for_bit(shape):
+    # relu=True runs the ReLU in the product's buffer and its backward masks
+    # g by that output: the output and every gradient equal those of
+    # matmul(...).relu() byte for byte, so signed zeros count too. Its
+    # backward keeps the output itself; without relu it keeps no output.
+    rng = np.random.default_rng(46)
+    ad, bd, biasd = rng.normal(size=shape), rng.normal(size=(5, 7)), rng.normal(size=7)
+    ad.reshape(-1, 5)[0] = 0.0   # a row whose pre-activation is the bias, zeros included
+    biasd[:2] = -0.0, 0.0
+    g = rng.normal(size=shape[:-1] + (7,))
+    results = []
+    for fused in (True, False):
+        a, b, bias = (Tensor(v, requires_grad=True) for v in (ad, bd, biasd))
+        out = T.matmul(a, b, bias, relu=True) if fused else T.matmul(a, b, bias).relu()
+        if fused:
+            assert any(h is out.data for h in captured(out._node._bp))
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data, a.grad, b.grad, bias.grad])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+    assert (results[0][0] == 0).any() and (results[0][0] > 0).any()
+    a, b = Tensor(ad, requires_grad=True), Tensor(bd, requires_grad=True)
+    out = T.matmul(a, b)
+    assert not any(h is out.data for h in captured(out._node._bp))
+
+
 # -- softmax ------------------------------------------------------------------
 
 def test_softmax_uniform():
@@ -211,6 +238,40 @@ def test_log_softmax_peaks_at_one_output_above_its_input(monkeypatch):
     assert peak <= 1.1 * x.data.nbytes, peak / x.data.nbytes
 
 
+def test_log_softmax_of_a_table_matches_the_logits_chain_bit_for_bit(monkeypatch):
+    # Given the tied table, the op builds the logits by matmul and runs the
+    # log-softmax in their buffer: its output, x's gradient and the table's
+    # equal those of log_softmax_last(matmul(x, table.T)) bit for bit, with
+    # the exp sums taken in the default blocks and in blocks of one row.
+    rng = np.random.default_rng(47)
+    xd, table_d = rng.normal(size=(3, 50, 8)) * 4.0, rng.normal(size=(256, 8))
+    g = rng.normal(size=(3, 50, 256))
+
+    def run(fused):
+        x, table = Tensor(xd, requires_grad=True), Tensor(table_d, requires_grad=True)
+        out = (T.log_softmax_last(x, table) if fused
+               else T.log_softmax_last(T.matmul(x, table.transpose((1, 0)))))
+        (out * Tensor(g)).sum().backward()
+        return [out.data, x.grad, table.grad]
+
+    want = run(fused=False)
+    for block in (T._EXP_BLOCK, 256):
+        monkeypatch.setattr(T, "_EXP_BLOCK", block)
+        for got, ref in zip(run(fused=True), want):
+            assert got.tobytes() == ref.tobytes(), block
+
+
+def test_log_softmax_of_a_table_peaks_at_one_output_plus_one_block(scan_off):
+    # The logits are the output's buffer, and the exp runs in one scratch
+    # block at a time, so the head holds one (..., V) array, that block and
+    # its per-row max and sums. A separate logits array measures 2.0 outputs.
+    rng = np.random.default_rng(48)
+    x, table = Tensor(rng.normal(size=(16, 128, 64))), Tensor(rng.normal(size=(256, 64)))
+    rows, out_bytes = 16 * 128, 16 * 128 * 256 * 8
+    peak = traced_peak(lambda: T.log_softmax_last(x, table))
+    assert peak <= out_bytes + 8 * T._EXP_BLOCK + 3 * 8 * rows + 4096, peak / out_bytes
+
+
 @pytest.mark.parametrize("op,bound", [("relu", 0.2), ("log_softmax_last", 1.1), ("layer_norm", 1.1)])
 def test_backward_peak_allocation(op, bound):
     # Each of these backwards writes its result into the gradient it is
@@ -275,6 +336,15 @@ def test_attention_non_finite_future_key_bit_invisible(monkeypatch, rotary, bad)
         mod[:, j, 1] = bad
         out = T.causal_attention(Tensor(q), Tensor(mod), Tensor(v), rotary=rotary).data
         assert np.array_equal(out[:, :j], base[:, :j]), j
+
+
+@pytest.mark.parametrize("rotary", [False, True])
+def test_attention_rejects_more_queries_than_keys(rotary):
+    # Query row i sits at key position t_k - t_q + i, which is negative for
+    # the first rows when t_q > t_k: a typed error names both shapes.
+    q, k = Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ValueError, match=re.escape("q(2, 5, 4) k(2, 3, 4)")):
+        T.causal_attention(q, k, k, rotary=rotary)
 
 
 def test_attention_t2_matches_brute_force():
